@@ -367,11 +367,7 @@ windowRoc(const core::Hmd &detector, const features::FeatureCorpus &corpus,
     std::vector<int> labels;
     core::collectWindows(corpus, program_idx, detector.decisionPeriod(),
                          windows, labels);
-    std::vector<double> scores;
-    scores.reserve(windows.size());
-    for (const auto *window : windows)
-        scores.push_back(detector.windowScore(*window));
-    return ml::rocCurve(scores, labels);
+    return ml::rocCurve(detector.scoreWindows(windows), labels);
 }
 
 /** Print a figure banner. */

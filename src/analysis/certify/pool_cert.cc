@@ -92,24 +92,17 @@ certifyPool(const core::Rhmd &pool,
             workers, test_idx.size(), [&](std::size_t p) {
                 const features::ProgramFeatures &prog =
                     corpus.programs[test_idx[p]];
-                const std::size_t n_epochs =
-                    prog.windows(epoch).size();
                 ProgramPartial partial;
                 partial.radii.assign(n, {});
                 for (std::size_t i = 0; i < n; ++i) {
                     const core::Hmd &det = *pool.detectors()[i];
-                    const std::uint32_t period = det.decisionPeriod();
-                    const std::size_t stride = epoch / period;
-                    partial.radii[i].reserve(n_epochs);
-                    for (std::size_t e = 0; e < n_epochs; ++e) {
-                        // The leading sub-window this detector would
-                        // classify when selected for epoch e.
-                        const features::RawWindow &window =
-                            prog.windows(period)[e * stride];
-                        const std::vector<double> x =
-                            det.featureVector(window);
+                    // The leading sub-window this detector would
+                    // classify when selected for each epoch.
+                    for (const features::RawWindow *window :
+                         core::epochWindows(prog, epoch, det)) {
                         partial.radii[i].push_back(stabilityRadius(
-                            det.classifier(), det.threshold(), x,
+                            det.classifier(), det.threshold(),
+                            det.featureVector(*window),
                             options.search));
                     }
                 }

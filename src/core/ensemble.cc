@@ -5,8 +5,7 @@
 
 #include "core/ensemble.hh"
 
-#include <algorithm>
-
+#include "core/rhmd.hh"
 #include "support/logging.hh"
 #include "support/parallel.hh"
 
@@ -16,20 +15,9 @@ namespace rhmd::core
 EnsembleHmd::EnsembleHmd(std::vector<std::unique_ptr<Hmd>> detectors)
     : detectors_(std::move(detectors))
 {
-    fatal_if(detectors_.empty(), "ensemble needs at least one detector");
-    for (const auto &det : detectors_) {
-        fatal_if(det == nullptr, "ensemble received a null detector");
-        fatal_if(!det->trained(),
-                 "ensemble detectors must be trained before combining");
-    }
-    epoch_ = 0;
-    for (const auto &det : detectors_)
-        epoch_ = std::max(epoch_, det->decisionPeriod());
-    for (const auto &det : detectors_) {
-        fatal_if(epoch_ % det->decisionPeriod() != 0,
-                 "base period ", det->decisionPeriod(),
-                 " does not divide the epoch length ", epoch_);
-    }
+    const support::Status pool_ok = validateDetectorPool(detectors_);
+    fatal_if(!pool_ok.isOk(), "ensemble ", pool_ok.message());
+    epoch_ = poolEpoch(detectors_);
 }
 
 std::uint32_t
@@ -41,18 +29,19 @@ EnsembleHmd::decisionPeriod() const
 std::vector<int>
 EnsembleHmd::decide(const features::ProgramFeatures &prog)
 {
-    const std::size_t n_epochs = prog.windows(epoch_).size();
-    std::vector<int> decisions;
-    decisions.reserve(n_epochs);
-    for (std::size_t e = 0; e < n_epochs; ++e) {
-        std::size_t votes = 0;
-        for (const auto &det : detectors_) {
-            const std::uint32_t period = det->decisionPeriod();
-            const std::size_t index = e * (epoch_ / period);
-            votes += det->windowDecision(prog.windows(period)[index]);
-        }
-        decisions.push_back(2 * votes >= detectors_.size() ? 1 : 0);
+    // Every base detector votes on every epoch: one scoreWindows()
+    // pass per detector over its leading sub-windows.
+    std::vector<std::size_t> votes(prog.windows(epoch_).size(), 0);
+    for (const auto &det : detectors_) {
+        const std::vector<double> scores =
+            det->scoreWindows(epochWindows(prog, epoch_, *det));
+        for (std::size_t e = 0; e < scores.size(); ++e)
+            votes[e] += scores[e] >= det->threshold() ? 1 : 0;
     }
+    std::vector<int> decisions;
+    decisions.reserve(votes.size());
+    for (std::size_t v : votes)
+        decisions.push_back(majorityVote(v, detectors_.size()));
     return decisions;
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "core/rhmd.hh"
 #include "ml/logistic_regression.hh"
 #include "ml/metrics.hh"
 #include "ml/mlp.hh"
@@ -24,10 +25,7 @@ Detector::programDecision(const features::ProgramFeatures &prog)
     const std::vector<int> decisions = decide(prog);
     panic_if(decisions.empty(), "no decisions for program '", prog.name,
              "'");
-    std::size_t flagged = 0;
-    for (int d : decisions)
-        flagged += d;
-    return 2 * flagged >= decisions.size() ? 1 : 0;
+    return majorityVote(decisions);
 }
 
 Hmd::Hmd(HmdConfig config)
@@ -108,10 +106,7 @@ Hmd::train(const std::vector<const features::RawWindow *> &windows,
     // raw-accuracy optimum degenerates into flagging nearly
     // everything, so the balanced point is the faithful equivalent
     // of the paper's high-sensitivity/high-specificity operation.
-    std::vector<double> scores;
-    scores.reserve(data.size());
-    for (const auto &x : data.x)
-        scores.push_back(clf_->score(x));
+    const std::vector<double> scores = scoreWindows(windows);
     const bool both_classes =
         raw.positives() > 0 && raw.positives() < raw.size();
     threshold_ = both_classes
@@ -133,8 +128,9 @@ Hmd::trainOnPrograms(const features::FeatureCorpus &corpus,
 std::vector<double>
 Hmd::featureVector(const features::RawWindow &window) const
 {
-    return standardizer_.apply(
-        features::combinedVector(config_.specs, window));
+    std::vector<double> row(featureDim());
+    fillFeatureRow(window, row.data());
+    return row;
 }
 
 std::size_t
@@ -163,9 +159,12 @@ Hmd::featureMatrix(
         panic_if(windows[r] == nullptr, "null window in batch");
         fillFeatureRow(*windows[r], matrix.row(r));
     }
-    // Hand scoreBatch the SoA view up front so the vector kernels
-    // never fall back; padding rows stay zero and are never scored.
-    matrix.buildSoa();
+    // Hand a batch scoreBatch the SoA view up front so the vector
+    // kernels never fall back; padding rows stay zero and are never
+    // scored. One window gains nothing from it, and the kernels score
+    // a matrix without one through the scalar table, bit for bit.
+    if (windows.size() > 1)
+        matrix.buildSoa();
     return matrix;
 }
 
@@ -180,8 +179,7 @@ Hmd::scoreWindows(
 double
 Hmd::windowScore(const features::RawWindow &window) const
 {
-    panic_if(!trained(), "Hmd queried before training");
-    return clf_->score(featureVector(window));
+    return scoreWindows({&window}).front();
 }
 
 int
@@ -199,11 +197,12 @@ Hmd::decisionPeriod() const
 std::vector<int>
 Hmd::decide(const features::ProgramFeatures &prog)
 {
-    const auto &windows = prog.windows(decisionPeriod());
+    const std::vector<double> scores =
+        scoreWindows(windowPointers(prog.windows(decisionPeriod())));
     std::vector<int> decisions;
-    decisions.reserve(windows.size());
-    for (const features::RawWindow &window : windows)
-        decisions.push_back(windowDecision(window));
+    decisions.reserve(scores.size());
+    for (double score : scores)
+        decisions.push_back(score >= threshold_ ? 1 : 0);
     return decisions;
 }
 
@@ -213,8 +212,8 @@ Hmd::programScore(const features::ProgramFeatures &prog) const
     const auto &windows = prog.windows(decisionPeriod());
     panic_if(windows.empty(), "program '", prog.name, "' has no windows");
     double total = 0.0;
-    for (const features::RawWindow &window : windows)
-        total += windowScore(window);
+    for (double score : scoreWindows(windowPointers(windows)))
+        total += score;
     return total / static_cast<double>(windows.size());
 }
 
@@ -289,6 +288,16 @@ Hmd::describe() const
         label += config_.specs[i].describe();
     }
     return label;
+}
+
+std::vector<const features::RawWindow *>
+windowPointers(const std::vector<features::RawWindow> &windows)
+{
+    std::vector<const features::RawWindow *> out;
+    out.reserve(windows.size());
+    for (const features::RawWindow &window : windows)
+        out.push_back(&window);
+    return out;
 }
 
 void

@@ -73,9 +73,9 @@ class Detector
     decide(const features::ProgramFeatures &prog) = 0;
 
     /**
-     * Program-level decision: majority over the window decisions
-     * (ties flagged as malware), the paper's "averaging the
-     * decisions across multiple intervals".
+     * Program-level decision: majorityVote() over the window
+     * decisions, the paper's "averaging the decisions across
+     * multiple intervals".
      */
     int programDecision(const features::ProgramFeatures &prog);
 };
@@ -105,7 +105,7 @@ class Hmd : public Detector
     void trainOnPrograms(const features::FeatureCorpus &corpus,
                          const std::vector<std::size_t> &program_idx);
 
-    /** Classifier score of one raw window. */
+    /** Classifier score of one raw window: a one-window scoreWindows(). */
     double windowScore(const features::RawWindow &window) const;
 
     /** Thresholded decision for one raw window. */
@@ -113,7 +113,8 @@ class Hmd : public Detector
 
     /**
      * Standardized feature matrix of a batch of windows, one row per
-     * window, built without per-row allocation. Row values are
+     * window, built without per-row allocation, with the SoA view
+     * when it holds more than one window. Row values are
      * bit-identical to featureVector().
      */
     features::FeatureMatrix featureMatrix(
@@ -121,9 +122,9 @@ class Hmd : public Detector
 
     /**
      * Classifier scores of a batch of windows in one pass
-     * (featureMatrix + Classifier::scoreBatch). Bit-identical to
-     * calling windowScore() per window; the batch path only removes
-     * per-window allocations and virtual-call overhead.
+     * (featureMatrix + Classifier::scoreBatch): the detector's one
+     * scoring entry. A window scores the same in any batch, so
+     * windowScore() is this call on a batch of one.
      */
     std::vector<double> scoreWindows(
         const std::vector<const features::RawWindow *> &windows) const;
@@ -182,6 +183,10 @@ class Hmd : public Detector
     ml::Standardizer standardizer_;
     double threshold_ = 0.5;
 };
+
+/** Pointers to every window of one stream, in order (scoreWindows input). */
+std::vector<const features::RawWindow *>
+windowPointers(const std::vector<features::RawWindow> &windows);
 
 /**
  * Collect (window pointer, label) pairs for the given programs of a

@@ -24,40 +24,46 @@ computePac(const Rhmd &pool, const features::FeatureCorpus &corpus,
     report.baseErrors.assign(n, 0.0);
     report.disagreement.assign(n, std::vector<double>(n, 0.0));
 
+    // Every test epoch, programs in order, with its ground truth.
+    std::vector<int> truth;
+    for (std::size_t idx : test_idx) {
+        const features::ProgramFeatures &prog = corpus.programs[idx];
+        truth.insert(truth.end(), prog.windows(epoch).size(),
+                     prog.malware ? 1 : 0);
+    }
+    const std::size_t total_epochs = truth.size();
+    fatal_if(total_epochs == 0, "no epochs in the test programs");
+
+    // Each base detector's decision for every epoch: its own leading
+    // sub-window, as when it is the selected one, scored in one pass.
+    std::vector<std::vector<int>> decisions(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Hmd &det = *pool.detectors()[i];
+        std::vector<const features::RawWindow *> rows;
+        rows.reserve(total_epochs);
+        for (std::size_t idx : test_idx) {
+            const std::vector<const features::RawWindow *> windows =
+                epochWindows(corpus.programs[idx], epoch, det);
+            rows.insert(rows.end(), windows.begin(), windows.end());
+        }
+        for (double score : det.scoreWindows(rows))
+            decisions[i].push_back(score >= det.threshold() ? 1 : 0);
+    }
+
     std::vector<std::vector<double>> disagree_counts(
         n, std::vector<double>(n, 0.0));
     std::vector<double> error_counts(n, 0.0);
-    std::size_t total_epochs = 0;
-
-    std::vector<int> decisions(n);
-    for (std::size_t idx : test_idx) {
-        const features::ProgramFeatures &prog = corpus.programs[idx];
-        const int truth = prog.malware ? 1 : 0;
-        const std::size_t n_epochs = prog.windows(epoch).size();
-
-        for (std::size_t e = 0; e < n_epochs; ++e) {
-            // Each base detector's decision for this epoch: its own
-            // leading sub-window, as when it is the selected one.
-            for (std::size_t i = 0; i < n; ++i) {
-                const Hmd &det = *pool.detectors()[i];
-                const std::uint32_t period = det.decisionPeriod();
-                const std::size_t w = e * (epoch / period);
-                decisions[i] =
-                    det.windowDecision(prog.windows(period)[w]);
-            }
-            ++total_epochs;
-            for (std::size_t i = 0; i < n; ++i) {
-                error_counts[i] += decisions[i] != truth ? 1.0 : 0.0;
-                for (std::size_t j = i + 1; j < n; ++j) {
-                    if (decisions[i] != decisions[j]) {
-                        disagree_counts[i][j] += 1.0;
-                        disagree_counts[j][i] += 1.0;
-                    }
+    for (std::size_t k = 0; k < total_epochs; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+            error_counts[i] += decisions[i][k] != truth[k] ? 1.0 : 0.0;
+            for (std::size_t j = i + 1; j < n; ++j) {
+                if (decisions[i][k] != decisions[j][k]) {
+                    disagree_counts[i][j] += 1.0;
+                    disagree_counts[j][i] += 1.0;
                 }
             }
         }
     }
-    fatal_if(total_epochs == 0, "no epochs in the test programs");
 
     const double denom = static_cast<double>(total_epochs);
     for (std::size_t i = 0; i < n; ++i) {

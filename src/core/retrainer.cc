@@ -55,9 +55,12 @@ windowAccuracy(const Hmd &detector,
                const std::vector<const features::RawWindow *> &windows,
                const std::vector<int> &labels)
 {
+    const std::vector<double> scores = detector.scoreWindows(windows);
     std::size_t correct = 0;
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        correct += detector.windowDecision(*windows[i]) == labels[i];
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+        const int decision = scores[i] >= detector.threshold() ? 1 : 0;
+        correct += decision == labels[i] ? 1 : 0;
+    }
     return static_cast<double>(correct) /
            static_cast<double>(windows.size());
 }

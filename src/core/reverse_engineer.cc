@@ -193,13 +193,14 @@ proxyAgreementOnTranscript(const VictimTranscript &transcript,
                 corpus.programs[program_idx[p]];
             const std::vector<int> &victim_decisions =
                 transcript.decisions(p);
-            const auto &proxy_windows = prog.windows(proxy_period);
-            const std::size_t n = std::min(victim_decisions.size(),
-                                           proxy_windows.size());
+            std::vector<const features::RawWindow *> rows =
+                windowPointers(prog.windows(proxy_period));
+            rows.resize(std::min(victim_decisions.size(), rows.size()));
+            const std::vector<double> scores = proxy.scoreWindows(rows);
             Counts c;
-            for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t i = 0; i < rows.size(); ++i) {
                 const int predicted =
-                    proxy.windowDecision(proxy_windows[i]);
+                    scores[i] >= proxy.threshold() ? 1 : 0;
                 c.agree += predicted == victim_decisions[i] ? 1 : 0;
                 ++c.total;
             }

@@ -18,8 +18,8 @@ namespace rhmd::core
 namespace
 {
 
-// Switching metrics are Deterministic: Rhmd::decide consumes the
-// seeded switching stream strictly in epoch order (it is never run
+// Switching metrics are Deterministic: Rhmd::decideBatch consumes
+// the seeded switching stream strictly in epoch order (it is never run
 // concurrently for one pool), so the realized selection histogram is
 // part of the reproducible output and the determinism gate compares
 // it across thread counts.
@@ -88,7 +88,6 @@ validateDetectorPool(const std::vector<std::unique_ptr<Hmd>> &detectors)
     if (detectors.empty())
         return support::invalidArgumentError(
             "pool needs at least one detector");
-    std::uint32_t epoch = 0;
     for (const auto &det : detectors) {
         if (det == nullptr)
             return support::invalidArgumentError(
@@ -96,10 +95,10 @@ validateDetectorPool(const std::vector<std::unique_ptr<Hmd>> &detectors)
         if (!det->trained())
             return support::failedPreconditionError(
                 "pool detectors must be trained before pooling");
-        epoch = std::max(epoch, det->decisionPeriod());
     }
     // Epoch alignment: every base period must divide the longest one
     // so precollected windows line up with epoch boundaries.
+    const std::uint32_t epoch = poolEpoch(detectors);
     for (const auto &det : detectors) {
         if (epoch % det->decisionPeriod() != 0)
             return support::invalidArgumentError(
@@ -107,6 +106,83 @@ validateDetectorPool(const std::vector<std::unique_ptr<Hmd>> &detectors)
                 " does not divide the epoch length ", epoch);
     }
     return {};
+}
+
+std::uint32_t
+poolEpoch(const std::vector<std::unique_ptr<Hmd>> &detectors)
+{
+    std::uint32_t epoch = 0;
+    for (const auto &det : detectors)
+        epoch = std::max(epoch, det->decisionPeriod());
+    return epoch;
+}
+
+const features::RawWindow *
+epochWindow(const features::ProgramFeatures &prog, std::uint32_t epoch,
+            const Hmd &det, std::size_t e)
+{
+    const std::uint32_t period = det.decisionPeriod();
+    const std::vector<features::RawWindow> &windows =
+        prog.windows(period);
+    const std::size_t index = e * (epoch / period);
+    return index < windows.size() ? &windows[index] : nullptr;
+}
+
+const features::RawWindow &
+requireEpochWindow(const features::ProgramFeatures &prog,
+                   std::uint32_t epoch, const Hmd &det, std::size_t e)
+{
+    const features::RawWindow *window = epochWindow(prog, epoch, det, e);
+    panic_if(window == nullptr, "no window for epoch ", e, " of '",
+             prog.name, "' at period ", det.decisionPeriod());
+    return *window;
+}
+
+std::vector<const features::RawWindow *>
+epochWindows(const features::ProgramFeatures &prog, std::uint32_t epoch,
+             const Hmd &det)
+{
+    const std::size_t n_epochs = prog.windows(epoch).size();
+    std::vector<const features::RawWindow *> out;
+    out.reserve(n_epochs);
+    for (std::size_t e = 0; e < n_epochs; ++e)
+        out.push_back(&requireEpochWindow(prog, epoch, det, e));
+    return out;
+}
+
+int
+majorityVote(std::size_t malware, std::size_t total)
+{
+    return total > 0 && 2 * malware >= total ? 1 : 0;
+}
+
+int
+majorityVote(const std::vector<int> &decisions)
+{
+    std::size_t malware = 0;
+    for (int d : decisions)
+        malware += d != 0 ? 1 : 0;
+    return majorityVote(malware, decisions.size());
+}
+
+EpochPlan::EpochPlan(const std::vector<std::unique_ptr<Hmd>> &detectors,
+                     std::uint32_t epoch)
+    : detectors_(detectors), epoch_(epoch), slots_(detectors.size()),
+      rows_(detectors.size())
+{
+}
+
+void
+EpochPlan::decide(std::vector<std::vector<int>> &decisions) const
+{
+    score([&](std::size_t d, const std::vector<Slot> &slots,
+              const std::vector<double> &scores) {
+        const double threshold = detectors_[d]->threshold();
+        for (std::size_t i = 0; i < scores.size(); ++i) {
+            decisions[slots[i].prog][slots[i].epoch] =
+                scores[i] >= threshold ? 1 : 0;
+        }
+    });
 }
 
 Rhmd::Rhmd(std::vector<std::unique_ptr<Hmd>> detectors,
@@ -121,10 +197,7 @@ Rhmd::Rhmd(std::vector<std::unique_ptr<Hmd>> detectors,
         validatePolicy(policy_, detectors_.size());
     fatal_if(!policy_ok.isOk(), policy_ok.message());
 
-    epoch_ = 0;
-    for (const auto &det : detectors_)
-        epoch_ = std::max(epoch_, det->decisionPeriod());
-
+    epoch_ = poolEpoch(detectors_);
     selectionCounts_.assign(detectors_.size(), 0);
 }
 
@@ -137,80 +210,27 @@ Rhmd::decisionPeriod() const
 std::vector<int>
 Rhmd::decide(const features::ProgramFeatures &prog)
 {
-    // Number of full epochs available for this program.
-    const std::size_t n_epochs = prog.windows(epoch_).size();
-    std::vector<int> decisions;
-    decisions.reserve(n_epochs);
-
-    for (std::size_t e = 0; e < n_epochs; ++e) {
-        const std::size_t pick = rng_.weightedIndex(policy_);
-        ++selectionCounts_[pick];
-        epochsCounter().add(1);
-        selectionHistogram().observe(static_cast<double>(pick));
-        Hmd &det = *detectors_[pick];
-        const std::uint32_t period = det.decisionPeriod();
-        // The chosen detector classifies the first sub-window of the
-        // epoch at its own period.
-        const std::size_t index =
-            e * (epoch_ / period);
-        const auto &windows = prog.windows(period);
-        panic_if(index >= windows.size(),
-                 "window index out of range for period ", period);
-        decisions.push_back(det.windowDecision(windows[index]));
-    }
-    return decisions;
+    return std::move(decideBatch({&prog}).front());
 }
 
 std::vector<std::vector<int>>
 Rhmd::decideBatch(
     const std::vector<const features::ProgramFeatures *> &progs)
 {
-    // Phase 1: consume the switching stream in exactly the order
-    // back-to-back decide() calls would (programs, then epochs), and
-    // plan which window each drawn detector will classify.
-    struct Slot
-    {
-        std::size_t prog;
-        std::size_t epoch;
+    EpochPlan plan(detectors_, epoch_);
+    const auto pick = [this] {
+        const std::size_t d = rng_.weightedIndex(policy_);
+        ++selectionCounts_[d];
+        epochsCounter().add(1);
+        selectionHistogram().observe(static_cast<double>(d));
+        return d;
     };
-    std::vector<std::vector<Slot>> slots(detectors_.size());
-    std::vector<std::vector<const features::RawWindow *>> rows(
-        detectors_.size());
     std::vector<std::vector<int>> decisions(progs.size());
-
     for (std::size_t p = 0; p < progs.size(); ++p) {
         panic_if(progs[p] == nullptr, "null program in decideBatch");
-        const features::ProgramFeatures &prog = *progs[p];
-        const std::size_t n_epochs = prog.windows(epoch_).size();
-        decisions[p].assign(n_epochs, 0);
-        for (std::size_t e = 0; e < n_epochs; ++e) {
-            const std::size_t pick = rng_.weightedIndex(policy_);
-            ++selectionCounts_[pick];
-            epochsCounter().add(1);
-            selectionHistogram().observe(static_cast<double>(pick));
-            const std::uint32_t period =
-                detectors_[pick]->decisionPeriod();
-            const std::size_t index = e * (epoch_ / period);
-            const auto &windows = prog.windows(period);
-            panic_if(index >= windows.size(),
-                     "window index out of range for period ", period);
-            slots[pick].push_back({p, e});
-            rows[pick].push_back(&windows[index]);
-        }
+        decisions[p].assign(plan.draw(*progs[p], pick), 0);
     }
-
-    // Phase 2: each selected detector scores all of its rows in one
-    // batch pass; decisions scatter back to (program, epoch).
-    for (std::size_t d = 0; d < detectors_.size(); ++d) {
-        if (rows[d].empty())
-            continue;
-        const Hmd &det = *detectors_[d];
-        const std::vector<double> scores = det.scoreWindows(rows[d]);
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            decisions[slots[d][i].prog][slots[d][i].epoch] =
-                scores[i] >= det.threshold() ? 1 : 0;
-        }
-    }
+    plan.decide(decisions);
     return decisions;
 }
 
@@ -259,19 +279,9 @@ RotatingRhmd::RotatingRhmd(std::vector<std::unique_ptr<Hmd>> candidates,
              "active subset size must be in [1, ", candidates_.size(),
              "]");
     fatal_if(rotationEpochs_ == 0, "rotation interval must be positive");
-    for (const auto &det : candidates_) {
-        fatal_if(det == nullptr, "RotatingRhmd received a null detector");
-        fatal_if(!det->trained(),
-                 "RotatingRhmd candidates must be trained");
-    }
-    epoch_ = 0;
-    for (const auto &det : candidates_)
-        epoch_ = std::max(epoch_, det->decisionPeriod());
-    for (const auto &det : candidates_) {
-        fatal_if(epoch_ % det->decisionPeriod() != 0,
-                 "base period ", det->decisionPeriod(),
-                 " does not divide the epoch length ", epoch_);
-    }
+    const support::Status pool_ok = validateDetectorPool(candidates_);
+    fatal_if(!pool_ok.isOk(), "RotatingRhmd ", pool_ok.message());
+    epoch_ = poolEpoch(candidates_);
     rotate();
 }
 
@@ -293,22 +303,17 @@ RotatingRhmd::decisionPeriod() const
 std::vector<int>
 RotatingRhmd::decide(const features::ProgramFeatures &prog)
 {
-    const std::size_t n_epochs = prog.windows(epoch_).size();
-    std::vector<int> decisions;
-    decisions.reserve(n_epochs);
-    for (std::size_t e = 0; e < n_epochs; ++e) {
+    EpochPlan plan(candidates_, epoch_);
+    const auto pick = [this] {
         if (epochsUntilRotation_ == 0)
             rotate();
         --epochsUntilRotation_;
-        const std::size_t pick =
-            active_[rng_.below(active_.size())];
-        Hmd &det = *candidates_[pick];
-        const std::uint32_t period = det.decisionPeriod();
-        const std::size_t index = e * (epoch_ / period);
-        decisions.push_back(
-            det.windowDecision(prog.windows(period)[index]));
-    }
-    return decisions;
+        return active_[rng_.below(active_.size())];
+    };
+    std::vector<std::vector<int>> decisions(1);
+    decisions[0].assign(plan.draw(prog, pick), 0);
+    plan.decide(decisions);
+    return std::move(decisions[0]);
 }
 
 std::unique_ptr<Rhmd>

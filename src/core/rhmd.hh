@@ -36,6 +36,116 @@ support::Status validatePolicy(std::vector<double> &policy,
 support::Status
 validateDetectorPool(const std::vector<std::unique_ptr<Hmd>> &detectors);
 
+/** Epoch length of a validated pool: its longest base period. */
+std::uint32_t
+poolEpoch(const std::vector<std::unique_ptr<Hmd>> &detectors);
+
+/**
+ * The window @p det classifies when it is drawn for epoch @p e of a
+ * pool with epoch length @p epoch: its own leading sub-window of the
+ * epoch, at index e * (epoch / period). Base periods divide the
+ * epoch, so precollected windows line up with epoch boundaries.
+ * nullptr when @p prog's stream at that period ends first (a
+ * truncated trace).
+ */
+const features::RawWindow *
+epochWindow(const features::ProgramFeatures &prog, std::uint32_t epoch,
+            const Hmd &det, std::size_t e);
+
+/** epochWindow() for streams that must cover the epoch (panics). */
+const features::RawWindow &
+requireEpochWindow(const features::ProgramFeatures &prog,
+                   std::uint32_t epoch, const Hmd &det, std::size_t e);
+
+/** requireEpochWindow() for every epoch of @p prog, in epoch order. */
+std::vector<const features::RawWindow *>
+epochWindows(const features::ProgramFeatures &prog, std::uint32_t epoch,
+             const Hmd &det);
+
+/**
+ * The verdict of @p total decisions of which @p malware flag malware:
+ * the majority, with ties flagged as malware (0 for no decisions).
+ */
+int majorityVote(std::size_t malware, std::size_t total);
+
+/** majorityVote() over a sequence of 0/1 @p decisions. */
+int majorityVote(const std::vector<int> &decisions);
+
+/**
+ * The RHMD epoch rule (Sec. 7) as one schedule. Each epoch of each
+ * program draws a base detector from the caller's switching stream;
+ * the drawn detector classifies its leading sub-window of the epoch
+ * (epochWindow). draw() consumes the stream in program order, then
+ * epoch order; score() then runs one Hmd::scoreWindows() pass per
+ * drawn detector, in detector-index order, instead of one call per
+ * window. A window scores the same in any batch, so decisions match
+ * a serial epoch-by-epoch loop over the same stream bit for bit.
+ */
+class EpochPlan
+{
+  public:
+    /** One drawn epoch: the program's draw() ordinal and the epoch. */
+    struct Slot
+    {
+        std::size_t prog;
+        std::size_t epoch;
+    };
+
+    /** An empty plan over @p detectors at epoch length @p epoch. */
+    EpochPlan(const std::vector<std::unique_ptr<Hmd>> &detectors,
+              std::uint32_t epoch);
+
+    /**
+     * Draw every epoch of @p prog in order; @p pick() returns the
+     * index of the detector classifying the next epoch. The program's
+     * slot is the number of programs drawn before it. Returns its
+     * epoch count.
+     */
+    template <typename Pick>
+    std::size_t
+    draw(const features::ProgramFeatures &prog, Pick &&pick)
+    {
+        const std::size_t n_epochs = prog.windows(epoch_).size();
+        for (std::size_t e = 0; e < n_epochs; ++e) {
+            const std::size_t d = pick();
+            slots_[d].push_back({programs_, e});
+            rows_[d].push_back(
+                &requireEpochWindow(prog, epoch_, *detectors_[d], e));
+        }
+        ++programs_;
+        return n_epochs;
+    }
+
+    /**
+     * Score every drawn epoch: @p visit(d, slots, scores) sees each
+     * drawn detector d once, in index order, with its slots in draw
+     * order and their scores.
+     */
+    template <typename Visit>
+    void
+    score(Visit &&visit) const
+    {
+        for (std::size_t d = 0; d < detectors_.size(); ++d) {
+            if (rows_[d].empty())
+                continue;
+            visit(d, slots_[d], detectors_[d]->scoreWindows(rows_[d]));
+        }
+    }
+
+    /**
+     * score() thresholded by each drawn detector into
+     * @p decisions[slot][epoch], which the caller sizes from draw().
+     */
+    void decide(std::vector<std::vector<int>> &decisions) const;
+
+  private:
+    const std::vector<std::unique_ptr<Hmd>> &detectors_;
+    std::uint32_t epoch_;
+    std::size_t programs_ = 0;
+    std::vector<std::vector<Slot>> slots_;
+    std::vector<std::vector<const features::RawWindow *>> rows_;
+};
+
 /**
  * Randomized detector pool.
  *
@@ -60,17 +170,15 @@ class Rhmd : public Detector
     /** Epoch length: the maximum base-detector period. */
     std::uint32_t decisionPeriod() const override;
 
+    /** decideBatch() of one program. */
     std::vector<int>
     decide(const features::ProgramFeatures &prog) override;
 
     /**
-     * Batched decide over several programs: draws the switching
-     * stream exactly as back-to-back decide() calls would (programs
-     * in order, epochs in order), then groups all epoch rows by the
-     * selected detector so each base model scores its rows in one
-     * scoreBatch() pass instead of one virtual call per window.
-     * Decisions, selection counts, and metrics are bit-identical to
-     * the serial loop; only the scoring schedule changes.
+     * Decisions for several programs on one EpochPlan: the switching
+     * stream is drawn in program order, then epoch order, so a batch
+     * consumes it exactly as back-to-back decide() calls do, and
+     * decisions, selection counts and metrics match them bit for bit.
      */
     std::vector<std::vector<int>>
     decideBatch(const std::vector<const features::ProgramFeatures *> &progs);

@@ -105,15 +105,15 @@ CorpusReader::Impl::mapFile()
     if (fd >= 0) {
         struct stat st = {};
         if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-            const std::size_t size =
+            const std::size_t bytes =
                 static_cast<std::size_t>(st.st_size);
             void *mapping =
-                ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+                ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
             if (mapping != MAP_FAILED) {
                 ::close(fd);
                 impl.data =
                     static_cast<const unsigned char *>(mapping);
-                impl.size = size;
+                impl.size = bytes;
                 impl.isMmap = true;
                 return support::Status();
             }

@@ -3,14 +3,11 @@
  * Contiguous feature matrix for batched scoring: row-major rows plus
  * an optional padded column-major (SoA) view.
  *
- * The per-window scoring path hands every classifier a fresh
- * std::vector<double>, which is fine for one window but allocates and
- * pointer-chases per row when a batch of requests is scored together.
- * FeatureMatrix lays a whole batch out as one contiguous row-major
- * block so the ml scoreBatch() implementations can walk rows with a
- * plain pointer loop while keeping the exact per-row accumulation
- * order of the serial path — batch scores must stay bit-identical to
- * score() for the determinism gates.
+ * Every classifier scores through Classifier::scoreBatch() on one of
+ * these: a whole batch laid out as one contiguous row-major block, so
+ * the scalar kernels walk rows with a plain pointer loop. Each row's
+ * accumulation order is independent of the batch, so a window scores
+ * the same alone or in any batch (the determinism gates rely on it).
  *
  * buildSoa() adds the structure-of-arrays view the vector kernels
  * (src/ml/kernels.hh) consume: each feature column is a contiguous
@@ -55,7 +52,7 @@ class FeatureMatrix
         return data_.data() + r * cols_;
     }
 
-    /** Copy row @p r out into an owning vector (serial fallback). */
+    /** Copy row @p r out into an owning vector. */
     std::vector<double> rowVector(std::size_t r) const;
 
     /** The whole backing block, rows * cols doubles. */

@@ -6,6 +6,7 @@
 #ifndef RHMD_ML_CLASSIFIER_HH
 #define RHMD_ML_CLASSIFIER_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,8 +19,8 @@ namespace rhmd::ml
 {
 
 /**
- * A binary classifier. score() returns the positive-class (malware)
- * probability-like value in [0, 1]; callers choose the operating
+ * A binary classifier. scoreBatch() returns positive-class (malware)
+ * probability-like values in [0, 1]; callers choose the operating
  * threshold (typically via metrics::bestAccuracyThreshold to match
  * the paper's "point on the ROC which maximizes the accuracy").
  */
@@ -35,36 +36,31 @@ class Classifier
      */
     virtual void train(const Dataset &data, Rng &rng) = 0;
 
-    /** Positive-class score in [0, 1]. */
-    virtual double score(const std::vector<double> &x) const = 0;
-
     /**
-     * Positive-class scores for every row of @p x, in row order.
-     *
-     * The base implementation is the serial fallback: copy each row
-     * out and call score(). Overrides walk the contiguous rows with
-     * allocation-free inner loops, but MUST keep the per-row
-     * accumulation order of score() exactly — batch scores are
-     * required to be bit-identical to the per-window path by the
-     * determinism gates (DESIGN.md §11), and that holds across every
-     * simd dispatch target (DESIGN.md §14).
+     * Positive-class scores in [0, 1] for every row of @p x, in row
+     * order: the one scoring entry every family implements, through
+     * the ml::kernels() table (DESIGN.md section 11). A row's score
+     * depends neither on the batch it arrives in nor on the simd
+     * dispatch target (DESIGN.md section 14).
      *
      * Exactly rows() scores come back, in row order, whether or not
      * the matrix carries a padded SoA view: padding lanes exist only
      * inside the kernels and never surface as scores or decisions.
-     * The serial fallback reads rows [0, rows()) of the row-major
-     * block only, so a batch whose tail rows came from truncated
-     * windows is scored on those rows' real features, never on
-     * out-of-row memory or padding.
+     * A matrix without the SoA view is scored by the scalar table on
+     * rows [0, rows()) of the row-major block only, so a batch whose
+     * tail rows came from truncated windows is scored on those rows'
+     * real features, never on out-of-row memory or padding.
      */
     virtual std::vector<double>
-    scoreBatch(const features::FeatureMatrix &x) const
+    scoreBatch(const features::FeatureMatrix &x) const = 0;
+
+    /** Positive-class score of one row: a one-row scoreBatch(). */
+    double
+    score(const std::vector<double> &x) const
     {
-        std::vector<double> out;
-        out.reserve(x.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r)
-            out.push_back(score(x.rowVector(r)));
-        return out;
+        features::FeatureMatrix row(1, x.size());
+        std::copy(x.begin(), x.end(), row.row(0));
+        return scoreBatch(row).front();
     }
 
     /** Deep copy (used to stamp out detector pools). */

@@ -163,39 +163,12 @@ flattenTree(const std::vector<DecisionTree::Node> &nodes,
     return out;
 }
 
-double
-DecisionTree::score(const std::vector<double> &x) const
-{
-    panic_if(nodes_.empty(), "DT scored before training");
-    return scoreRow(x.data());
-}
-
-double
-DecisionTree::scoreRow(const double *row) const
-{
-    std::int32_t node = 0;
-    while (!nodes_[node].leaf) {
-        node = row[nodes_[node].feature] <= nodes_[node].threshold
-            ? nodes_[node].left
-            : nodes_[node].right;
-    }
-    return nodes_[node].value;
-}
-
 std::vector<double>
 DecisionTree::scoreBatch(const features::FeatureMatrix &x) const
 {
     panic_if(nodes_.empty(), "DT scored before training");
-    const KernelTable &k = kernels();
-    if (k.target == simd::Target::Scalar) {
-        // Reference path: the historical per-row walk over nodes_.
-        std::vector<double> out(x.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r)
-            out[r] = scoreRow(x.row(r));
-        return out;
-    }
     std::vector<double> out = scoreSpan(x);
-    k.treeScore(flat_, x, out.data());
+    kernels().treeScore(flat_, x, out.data());
     out.resize(x.rows());  // drop padding lanes: they are not windows
     return out;
 }

@@ -46,14 +46,10 @@ class DecisionTree : public Classifier
     explicit DecisionTree(TreeConfig config = {});
 
     void train(const Dataset &data, Rng &rng) override;
-    double score(const std::vector<double> &x) const override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
     std::unique_ptr<Classifier> clone() const override;
     std::string name() const override { return "DT"; }
-
-    /** Tree walk on a raw feature row (batch scoring hot path). */
-    double scoreRow(const double *row) const;
 
     /** Number of nodes in the grown tree. */
     std::size_t nodeCount() const { return nodes_.size(); }

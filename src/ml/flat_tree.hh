@@ -14,10 +14,17 @@ namespace rhmd::ml
 
 /**
  * One decision tree flattened into structure-of-arrays node fields
- * so traversal kernels can gather per-lane node state. Leaves carry
- * feature = -1 and self-referential children, which makes a masked
- * multi-lane traversal idempotent once a lane lands on its leaf: the
- * lane keeps re-selecting itself while the others finish.
+ * for the traversal kernels. Leaves carry feature = -1 (and point
+ * their children at themselves).
+ *
+ * A random forest gives each of its trees of at most 64 leaves a
+ * bitvector form (RandomForest::train), which the avx2 forest kernel
+ * evaluates without dependent loads: leafValue numbers the leaves
+ * left to right, and a row that fails split k's
+ * `x[splitFeature[k]] <= splitThreshold[k]` test cannot reach the
+ * leaves set in leftLeaves[k] (the split's left subtree). The leaf a
+ * row reaches is the lowest one no failed test rules out. These
+ * vectors are empty for larger trees and for single decision trees.
  */
 struct FlatTree
 {
@@ -26,6 +33,11 @@ struct FlatTree
     std::vector<std::int64_t> left;     ///< child ids (leaf: self)
     std::vector<std::int64_t> right;
     std::vector<double> value;          ///< leaf positive fraction
+
+    std::vector<std::int64_t> splitFeature;
+    std::vector<double> splitThreshold;
+    std::vector<std::uint64_t> leftLeaves;
+    std::vector<double> leafValue;
 
     std::size_t size() const { return feature.size(); }
     bool empty() const { return feature.empty(); }

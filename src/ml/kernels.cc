@@ -2,12 +2,12 @@
  * @file
  * Scalar reference kernels and the per-target dispatch registry.
  *
- * The scalar table below is the semantic ground truth: each function
- * is the historical serial loop the classifiers ran before the SoA
- * kernels existed, lifted verbatim. Vector tables register here via
- * the detail::*Table() accessors defined in their own translation
- * units; this file is compiled without any extra ISA flags so the
- * reference path runs on any machine.
+ * The scalar table below is the semantic ground truth and the only
+ * scalar scoring path: every Classifier::scoreBatch() runs through a
+ * kernel table, and RHMD_SIMD=scalar selects this one. Vector tables
+ * register here via the detail::*Table() accessors defined in their
+ * own translation units; this file is compiled without any extra ISA
+ * flags so the reference path runs on any machine.
  */
 
 #include "ml/kernels.hh"
@@ -28,8 +28,8 @@ scalarLinearMargin(const features::FeatureMatrix &x, const double *w,
     const std::size_t d = x.cols();
     for (std::size_t r = 0; r < x.rows(); ++r) {
         const double *row = x.row(r);
-        // Same left-to-right accumulation as support::dot, so batch
-        // margins are bit-identical to the per-row score() path.
+        // Same left-to-right accumulation as support::dot, the
+        // order training computes its margins in.
         double z = 0.0;
         for (std::size_t j = 0; j < d; ++j)
             z += w[j] * row[j];
@@ -45,9 +45,8 @@ scalarStandardizeRow(double *row, const double *mean,
         row[j] = (row[j] - mean[j]) / scale[j];
 }
 
-/** DecisionTree::scoreRow on the flattened layout: NaN features
- *  compare false against the threshold and go right, like the
- *  original `x[f] <= t` select. */
+/** The leaf row @p row reaches: NaN features compare false against
+ *  the threshold and go right (`x[f] <= t` selects left). */
 double
 flatTreeLeaf(const FlatTree &tree, const double *row)
 {
@@ -76,7 +75,7 @@ scalarForestScore(const FlatTree *trees, std::size_t nTrees,
 {
     panic_if(nTrees == 0, "forest kernel on an untrained forest");
     // Per row: ascending-tree running sum, then one divide — the
-    // RandomForest::score accumulation order.
+    // forest's mean-of-leaves order.
     for (std::size_t r = 0; r < x.rows(); ++r) {
         const double *row = x.row(r);
         double total = 0.0;
@@ -148,12 +147,6 @@ kernelsFor(simd::Target target)
       case simd::Target::Avx2:
 #if defined(RHMD_SIMD_HAVE_AVX2)
         return detail::avx2Table();
-#else
-        break;
-#endif
-      case simd::Target::Neon:
-#if defined(__ARM_NEON) && defined(__aarch64__)
-        return detail::neonTable();
 #else
         break;
 #endif

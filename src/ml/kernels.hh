@@ -7,9 +7,9 @@
  * the per-window count-to-rate conversions — is reachable through
  * one KernelTable of function pointers. kernels() returns the table
  * for simd::activeTarget(): the "scalar" table holds the reference
- * implementations (byte-for-byte the historical serial loops), and
- * each vector table (sse2/avx2/neon) holds kernels that vectorize
- * ACROSS independent elements only, so their results are
+ * implementations (the only scalar scoring path), and each vector
+ * table (sse2/avx2) holds kernels that vectorize ACROSS independent
+ * elements only, so their results are
  * bit-identical to the scalar siblings on every input — including
  * NaN/Inf propagation — not merely close (DESIGN.md section 14).
  *
@@ -45,7 +45,7 @@ struct KernelTable
     /**
      * out[r] = (sum_j w[j] * x[r][j]) + bias for r < x.rows(), with
      * the sum accumulated in ascending-j order per row (the
-     * support::dot order score() uses). w has x.cols() entries.
+     * support::dot order training uses). w has x.cols() entries.
      */
     void (*linearMargin)(const features::FeatureMatrix &x,
                          const double *w, double bias, double *out);
@@ -60,7 +60,7 @@ struct KernelTable
 
     /**
      * out[r] = (sum over trees, ascending, of the leaf reached by
-     * row r) / nTrees — the RandomForest::score accumulation order.
+     * row r) / nTrees — the forest's mean-of-leaves order.
      */
     void (*forestScore)(const FlatTree *trees, std::size_t nTrees,
                         const features::FeatureMatrix &x, double *out);

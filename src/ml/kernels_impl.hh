@@ -1,7 +1,7 @@
 /**
  * @file
  * Vec-templated kernel bodies shared by every per-target translation
- * unit (kernels_sse2.cc, kernels_avx2.cc, kernels_neon.cc).
+ * unit (kernels_sse2.cc, kernels_avx2.cc).
  *
  * Each body is the scalar reference loop with its independent-element
  * dimension strip-mined to Vec::kLanes: linearMargin runs one batch
@@ -34,9 +34,6 @@ const KernelTable &sse2Table();
 #endif
 #if defined(RHMD_SIMD_HAVE_AVX2)
 const KernelTable &avx2Table();
-#endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-const KernelTable &neonTable();
 #endif
 
 /**

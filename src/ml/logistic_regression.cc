@@ -71,13 +71,6 @@ LogisticRegression::train(const Dataset &data, Rng &rng)
     }
 }
 
-double
-LogisticRegression::score(const std::vector<double> &x) const
-{
-    panic_if(weights_.empty(), "LR scored before training");
-    return sigmoid(dot(weights_, x) + bias_);
-}
-
 std::vector<double>
 LogisticRegression::scoreBatch(const features::FeatureMatrix &x) const
 {
@@ -85,28 +78,11 @@ LogisticRegression::scoreBatch(const features::FeatureMatrix &x) const
     panic_if(x.rows() > 0 && x.cols() != weights_.size(),
              "LR batch dim mismatch: ", x.cols(), " vs ",
              weights_.size());
-    const std::size_t d = weights_.size();
-    const double *w = weights_.data();
-    const KernelTable &k = kernels();
-    if (k.target == simd::Target::Scalar) {
-        // Reference path: same left-to-right accumulation as
-        // support::dot, so the batch score is bit-identical to
-        // score().
-        std::vector<double> out(x.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r) {
-            const double *row = x.row(r);
-            double z = 0.0;
-            for (std::size_t j = 0; j < d; ++j)
-                z += w[j] * row[j];
-            out[r] = sigmoid(z + bias_);
-        }
-        return out;
-    }
-    // Kernel path: one margin per SoA lane with the reference's
-    // per-row accumulation order; the link function stays a scalar
-    // libm call per real row so every target shares its rounding.
+    // One margin per row with the support::dot accumulation order;
+    // the link function stays a scalar libm call per real row so
+    // every target shares its rounding.
     std::vector<double> out = scoreSpan(x);
-    k.linearMargin(x, w, bias_, out.data());
+    kernels().linearMargin(x, weights_.data(), bias_, out.data());
     out.resize(x.rows());  // drop padding lanes: they are not windows
     for (double &z : out)
         z = sigmoid(z);

@@ -99,46 +99,17 @@ Mlp::train(const Dataset &data, Rng &rng)
     }
 }
 
-double
-Mlp::score(const std::vector<double> &x) const
-{
-    panic_if(w1_.empty(), "MLP scored before training");
-    panic_if(x.size() != inputDim_, "MLP input dim mismatch");
-    double z_out = b2_;
-    for (std::size_t h = 0; h < w1_.size(); ++h)
-        z_out += w2_[h] * std::tanh(dot(w1_[h], x) + b1_[h]);
-    return sigmoid(z_out);
-}
-
 std::vector<double>
 Mlp::scoreBatch(const features::FeatureMatrix &x) const
 {
     panic_if(w1_.empty(), "MLP scored before training");
     panic_if(x.rows() > 0 && x.cols() != inputDim_,
              "MLP batch dim mismatch: ", x.cols(), " vs ", inputDim_);
+    // One affine kernel sweep per hidden unit, with the tanh and the
+    // output accumulation kept as scalar per-row steps: z_out sums in
+    // ascending h from b2_, and every libm call sees the same operand
+    // on every target.
     const KernelTable &k = kernels();
-    if (k.target == simd::Target::Scalar) {
-        // Reference path: inline dot with score()'s accumulation
-        // order so batch and serial activations are bit-identical.
-        std::vector<double> out(x.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r) {
-            const double *row = x.row(r);
-            double z_out = b2_;
-            for (std::size_t h = 0; h < w1_.size(); ++h) {
-                const double *wh = w1_[h].data();
-                double z = 0.0;
-                for (std::size_t j = 0; j < inputDim_; ++j)
-                    z += wh[j] * row[j];
-                z_out += w2_[h] * std::tanh(z + b1_[h]);
-            }
-            out[r] = sigmoid(z_out);
-        }
-        return out;
-    }
-    // Kernel path: one affine kernel sweep per hidden unit, with the
-    // tanh and output accumulation kept as scalar per-row steps —
-    // the h-ascending z_out sum and every libm call match the
-    // reference exactly.
     std::vector<double> hidden = scoreSpan(x);
     std::vector<double> out(x.rows(), b2_);
     for (std::size_t h = 0; h < w1_.size(); ++h) {

@@ -6,6 +6,7 @@
 #include "ml/random_forest.hh"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "ml/kernels.hh"
@@ -14,6 +15,53 @@
 
 namespace rhmd::ml
 {
+
+namespace
+{
+
+/** Bits [first, end) of a leaf mask, for first < end <= 64. */
+std::uint64_t
+leafRange(std::size_t first, std::size_t end)
+{
+    const std::uint64_t below_end =
+        end == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << end) - 1;
+    return below_end & ~((std::uint64_t{1} << first) - 1);
+}
+
+/**
+ * Append the bitvector form of the subtree at @p node, numbering its
+ * leaves left to right from @p first; returns one past its last leaf
+ * number.
+ */
+std::size_t
+addSubtreeForm(FlatTree &tree, std::int64_t node, std::size_t first)
+{
+    const auto n = static_cast<std::size_t>(node);
+    if (tree.feature[n] < 0) {
+        tree.leafValue.push_back(tree.value[n]);
+        return first + 1;
+    }
+    const std::size_t mid = addSubtreeForm(tree, tree.left[n], first);
+    const std::size_t end = addSubtreeForm(tree, tree.right[n], mid);
+    tree.splitFeature.push_back(tree.feature[n]);
+    tree.splitThreshold.push_back(tree.threshold[n]);
+    tree.leftLeaves.push_back(mid <= 64 ? leafRange(first, mid) : 0);
+    return end;
+}
+
+/** Give @p tree its bitvector form (FlatTree) if it has at most 64 leaves. */
+void
+addBitvectorForm(FlatTree &tree)
+{
+    if (addSubtreeForm(tree, 0, 0) <= 64)
+        return;
+    tree.splitFeature.clear();
+    tree.splitThreshold.clear();
+    tree.leftLeaves.clear();
+    tree.leafValue.clear();
+}
+
+} // namespace
 
 RandomForest::RandomForest(ForestConfig config)
     : config_(config)
@@ -85,57 +133,22 @@ RandomForest::train(const Dataset &data, Rng &rng)
 
     flat_.clear();
     flat_.reserve(trees_.size());
-    for (std::size_t t = 0; t < trees_.size(); ++t)
-        flat_.push_back(flattenTree(trees_[t].nodes(), &featureSel_[t]));
-}
-
-double
-RandomForest::score(const std::vector<double> &x) const
-{
-    panic_if(trees_.empty(), "RF scored before training");
-    double total = 0.0;
-    std::vector<double> projected;
     for (std::size_t t = 0; t < trees_.size(); ++t) {
-        projected.clear();
-        projected.reserve(featureSel_[t].size());
-        for (std::size_t f : featureSel_[t])
-            projected.push_back(x[f]);
-        total += trees_[t].score(projected);
+        flat_.push_back(flattenTree(trees_[t].nodes(), &featureSel_[t]));
+        addBitvectorForm(flat_.back());
     }
-    return total / static_cast<double>(trees_.size());
 }
 
 std::vector<double>
 RandomForest::scoreBatch(const features::FeatureMatrix &x) const
 {
     panic_if(trees_.empty(), "RF scored before training");
-    const KernelTable &k = kernels();
-    if (k.target == simd::Target::Scalar) {
-        // Reference path: one projection buffer reused across every
-        // (row, tree) pair; tree order and the running sum match
-        // score() exactly.
-        std::vector<double> out(x.rows());
-        std::vector<double> projected;
-        for (std::size_t r = 0; r < x.rows(); ++r) {
-            const double *row = x.row(r);
-            double total = 0.0;
-            for (std::size_t t = 0; t < trees_.size(); ++t) {
-                projected.clear();
-                projected.reserve(featureSel_[t].size());
-                for (std::size_t f : featureSel_[t])
-                    projected.push_back(row[f]);
-                total += trees_[t].scoreRow(projected.data());
-            }
-            out[r] = total / static_cast<double>(trees_.size());
-        }
-        return out;
-    }
-    // Kernel path: splits were remapped through featureSel_ when the
-    // trees were flattened, so traversal reads full-width rows — the
-    // same comparisons against the same thresholds, reaching the
-    // same leaves, summed in the same tree order.
+    // Splits were remapped through featureSel_ when the trees were
+    // flattened, so traversal reads full-width rows: the comparisons
+    // each tree's own walk over its projected features would make,
+    // summed in ascending tree order, then one divide.
     std::vector<double> out = scoreSpan(x);
-    k.forestScore(flat_.data(), flat_.size(), x, out.data());
+    kernels().forestScore(flat_.data(), flat_.size(), x, out.data());
     out.resize(x.rows());  // drop padding lanes: they are not windows
     return out;
 }

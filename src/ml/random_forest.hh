@@ -39,7 +39,6 @@ class RandomForest : public Classifier
     explicit RandomForest(ForestConfig config = {});
 
     void train(const Dataset &data, Rng &rng) override;
-    double score(const std::vector<double> &x) const override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
     std::unique_ptr<Classifier> clone() const override;

@@ -59,12 +59,6 @@ LinearSvm::margin(const std::vector<double> &x) const
     return dot(weights_, x) + bias_;
 }
 
-double
-LinearSvm::score(const std::vector<double> &x) const
-{
-    return sigmoid(config_.scoreSharpness * margin(x));
-}
-
 std::vector<double>
 LinearSvm::scoreBatch(const features::FeatureMatrix &x) const
 {
@@ -72,26 +66,10 @@ LinearSvm::scoreBatch(const features::FeatureMatrix &x) const
     panic_if(x.rows() > 0 && x.cols() != weights_.size(),
              "SVM batch dim mismatch: ", x.cols(), " vs ",
              weights_.size());
-    const std::size_t d = weights_.size();
-    const double *w = weights_.data();
-    const KernelTable &k = kernels();
-    if (k.target == simd::Target::Scalar) {
-        // Reference path: margin() via support::dot's accumulation
-        // order, so batch scores are bit-identical to score().
-        std::vector<double> out(x.rows());
-        for (std::size_t r = 0; r < x.rows(); ++r) {
-            const double *row = x.row(r);
-            double z = 0.0;
-            for (std::size_t j = 0; j < d; ++j)
-                z += w[j] * row[j];
-            out[r] = sigmoid(config_.scoreSharpness * (z + bias_));
-        }
-        return out;
-    }
-    // Kernel path: SoA margins with the reference accumulation
-    // order, sharpness and sigmoid applied per real row.
+    // margin() per row with the support::dot accumulation order;
+    // sharpness and sigmoid applied per real row.
     std::vector<double> out = scoreSpan(x);
-    k.linearMargin(x, w, bias_, out.data());
+    kernels().linearMargin(x, weights_.data(), bias_, out.data());
     out.resize(x.rows());  // drop padding lanes: they are not windows
     for (double &z : out)
         z = sigmoid(config_.scoreSharpness * z);

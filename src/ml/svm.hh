@@ -32,7 +32,6 @@ class LinearSvm : public Classifier
     explicit LinearSvm(SvmConfig config = {});
 
     void train(const Dataset &data, Rng &rng) override;
-    double score(const std::vector<double> &x) const override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
     std::unique_ptr<Classifier> clone() const override;

@@ -42,6 +42,14 @@ countHealthEvent(HealthEvent::Kind kind)
 
 } // namespace
 
+std::size_t
+failoverBudget(std::size_t pool_size, std::size_t failure_threshold)
+{
+    if (failure_threshold >= kMaxFailoverAttempts / pool_size)
+        return kMaxFailoverAttempts;
+    return pool_size * failure_threshold;
+}
+
 std::string_view
 healthName(DetectorHealth health)
 {

@@ -54,6 +54,24 @@ struct HealthConfig
     std::size_t probationSuccesses = 4;
 };
 
+/**
+ * Hard ceiling on failover redraws for one failed epoch. Part of the
+ * serving replay contract: serial replays of a served request apply
+ * the same ceiling.
+ */
+constexpr std::size_t kMaxFailoverAttempts = 64;
+
+/**
+ * Redraws one failed epoch may take: enough for every pool member to
+ * burn its whole failure streak (@p pool_size * @p failure_threshold),
+ * capped at kMaxFailoverAttempts so a "never quarantine" threshold
+ * can neither overflow the product nor spin a broken pool through
+ * millions of redraws. Both front ends (DetectionRuntime and
+ * serve::DetectionService) apply it. @p pool_size must be positive.
+ */
+std::size_t failoverBudget(std::size_t pool_size,
+                           std::size_t failure_threshold);
+
 /** One entry of the structured degradation event log. */
 struct HealthEvent
 {

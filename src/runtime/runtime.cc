@@ -104,15 +104,14 @@ DetectionRuntime::readWindow(const features::ProgramFeatures &prog,
                              std::size_t epoch_index,
                              RuntimeReport &report)
 {
-    const std::uint32_t period = det.decisionPeriod();
-    const auto &windows = prog.windows(period);
-    const std::size_t index =
-        epoch_index * (pool_.decisionPeriod() / period);
-    if (index >= windows.size()) {
+    const features::RawWindow *source =
+        core::epochWindow(prog, pool_.decisionPeriod(), det, epoch_index);
+    if (source == nullptr) {
         // The stream ended early at this period (truncated trace);
         // a lost window, not a library bug.
-        return support::dataLossError("no window ", index,
-                                      " at period ", period);
+        return support::dataLossError("no window for epoch ",
+                                      epoch_index, " at period ",
+                                      det.decisionPeriod());
     }
 
     support::RetryStats stats;
@@ -122,7 +121,7 @@ DetectionRuntime::readWindow(const features::ProgramFeatures &prog,
             if (injector_.transientReadFailure())
                 return support::unavailableError(
                     "transient sensor-read failure");
-            features::RawWindow window = windows[index];
+            features::RawWindow window = *source;
             switch (injector_.perturbWindow(window)) {
               case WindowFault::Dropped:
                 return support::dataLossError("window dropped");
@@ -160,17 +159,13 @@ DetectionRuntime::processProgram(const features::ProgramFeatures &prog)
         counters.detectorFailures.add(report.detectorFailures);
     };
 
+    // One epoch may take several draws: an invalid score fails over
+    // to another available detector instead of losing the epoch
+    // outright, within the capped failoverBudget.
+    const std::size_t max_attempts = failoverBudget(
+        pool_.poolSize(), config_.health.failureThreshold);
     for (std::size_t e = 0; e < report.epochs; ++e) {
         health_.tick();
-
-        // One epoch may take several draws: an invalid score fails
-        // over to another available detector instead of losing the
-        // epoch outright. The budget covers the worst case of every
-        // pool member burning through its whole failure streak in
-        // this epoch, so a decision is reached whenever any healthy
-        // detector remains.
-        const std::size_t max_attempts =
-            pool_.poolSize() * config_.health.failureThreshold;
         bool decided = false;
         bool windowLost = false;
         for (std::size_t attempt = 0;
@@ -225,13 +220,7 @@ DetectionRuntime::processProgram(const features::ProgramFeatures &prog)
             " detector failures)");
     }
 
-    // Majority vote with ties flagged as malware, matching
-    // Detector::programDecision.
-    std::size_t malware_votes = 0;
-    for (int d : report.decisions)
-        malware_votes += d != 0 ? 1 : 0;
-    report.programDecision =
-        2 * malware_votes >= report.decisions.size() ? 1 : 0;
+    report.programDecision = core::majorityVote(report.decisions);
     return report;
 }
 

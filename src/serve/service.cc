@@ -24,24 +24,6 @@ validScore(double score)
     return std::isfinite(score) && score >= 0.0 && score <= 1.0;
 }
 
-/**
- * Hard ceiling on failover redraws per failed slot. The nominal
- * budget is pool-size * failureThreshold (as in DetectionRuntime),
- * but deployments that disable quarantine by setting a huge threshold
- * (the chaos bench does) must not turn one poisoned slot into an
- * unbounded retry loop. Part of the replay contract: serial replays
- * of a request must apply the same ceiling.
- */
-constexpr std::size_t kMaxFailoverAttempts = 64;
-
-std::size_t
-failoverBudget(std::size_t n_detectors, std::size_t failure_threshold)
-{
-    if (failure_threshold >= kMaxFailoverAttempts / n_detectors)
-        return kMaxFailoverAttempts;
-    return n_detectors * failure_threshold;
-}
-
 // Deterministic serve metrics count request outcomes, which with a
 // healthy pool and no shedding depend only on (seed, keys, programs,
 // pool version); everything shaped by scheduling or overload — batch
@@ -443,17 +425,10 @@ DetectionService::processBatch(std::vector<Request> &batch)
 
     // Phase 1 — plan: each request draws its switching stream from
     // (seed, key) alone, so the picks do not depend on batch
-    // composition or worker interleaving. Rows are grouped per
-    // selected detector for one scoreWindows() pass each.
-    struct Slot
-    {
-        std::size_t req;    ///< index into live
-        std::size_t epoch;
-    };
-    const std::size_t n_det = pool.poolSize();
+    // composition or worker interleaving. The plan's slots are
+    // indices into live.
     const std::uint32_t epoch_len = pool.decisionPeriod();
-    std::vector<std::vector<Slot>> slots(n_det);
-    std::vector<std::vector<const features::RawWindow *>> rows(n_det);
+    core::EpochPlan plan(pool.detectors(), epoch_len);
     // Per live request: per-epoch decision, -1 while unclassified.
     std::vector<std::vector<int>> decided(live.size());
     std::vector<std::size_t> failures(live.size(), 0);
@@ -462,53 +437,35 @@ DetectionService::processBatch(std::vector<Request> &batch)
     std::vector<double> marginSum(live.size(), 0.0);
 
     for (std::size_t r = 0; r < live.size(); ++r) {
-        const features::ProgramFeatures &prog = *live[r]->prog;
-        const std::size_t n_epochs = prog.windows(epoch_len).size();
-        decided[r].assign(n_epochs, -1);
         Rng rng = switchRng_.at(live[r]->key);
-        for (std::size_t e = 0; e < n_epochs; ++e) {
-            const std::size_t pick = rng.weightedIndex(policy);
-            const std::uint32_t period =
-                pool.detectors()[pick]->decisionPeriod();
-            const std::size_t index = e * (epoch_len / period);
-            const auto &windows = prog.windows(period);
-            panic_if(index >= windows.size(),
-                     "window index out of range for period ", period);
-            slots[pick].push_back({r, e});
-            rows[pick].push_back(&windows[index]);
-        }
+        decided[r].assign(
+            plan.draw(*live[r]->prog,
+                      [&rng, &policy] { return rng.weightedIndex(policy); }),
+            -1);
     }
 
     // Phase 2 — score: one batch pass per selected detector. Invalid
     // scores — organic or chaos-injected — are reported to the health
     // monitor and their slots fall through to the serial failover
     // pass below.
-    struct Failed
-    {
-        std::size_t req;
-        std::size_t epoch;
-    };
-    std::vector<Failed> failed;
-    for (std::size_t d = 0; d < n_det; ++d) {
-        if (rows[d].empty())
-            continue;
-        const core::Hmd &det = *pool.detectors()[d];
-        const std::vector<double> scores = det.scoreWindows(rows[d]);
+    std::vector<core::EpochPlan::Slot> failed;
+    plan.score([&](std::size_t d,
+                   const std::vector<core::EpochPlan::Slot> &slots,
+                   const std::vector<double> &scores) {
+        const double threshold = pool.detectors()[d]->threshold();
         std::size_t valid = 0;
         for (std::size_t i = 0; i < scores.size(); ++i) {
-            const Slot &slot = slots[d][i];
-            if (chaos_.scoreFault(live[slot.req]->key, slot.epoch, d) ||
+            const core::EpochPlan::Slot &slot = slots[i];
+            if (chaos_.scoreFault(live[slot.prog]->key, slot.epoch, d) ||
                 !validScore(scores[i])) {
-                ++failures[slot.req];
+                ++failures[slot.prog];
                 counters.detectorFailures.add(1);
-                failed.push_back({slot.req, slot.epoch});
+                failed.push_back(slot);
                 continue;
             }
             ++valid;
-            decided[slot.req][slot.epoch] =
-                scores[i] >= det.threshold() ? 1 : 0;
-            marginSum[slot.req] +=
-                std::abs(scores[i] - det.threshold());
+            decided[slot.prog][slot.epoch] = scores[i] >= threshold ? 1 : 0;
+            marginSum[slot.prog] += std::abs(scores[i] - threshold);
         }
         const std::lock_guard<std::mutex> lock(state->healthMutex);
         for (std::size_t i = 0; i < valid; ++i)
@@ -517,18 +474,18 @@ DetectionService::processBatch(std::vector<Request> &batch)
             state->health.recordFailure(
                 d, rhmd::detail::concat("invalid score at epoch ",
                                         state->health.epoch()));
-    }
+    });
 
     // Phase 3 — failover: redraw each failed slot from its own
     // (key, epoch)-derived stream (order-independent) against the
     // current effective policy, up to the same attempt budget the
     // runtime uses (hard-capped; see failoverBudget). A slot that
     // exhausts the budget stays unclassified.
-    const std::size_t max_attempts =
-        failoverBudget(n_det, config_.health.failureThreshold);
-    for (const Failed &f : failed) {
-        const features::ProgramFeatures &prog = *live[f.req]->prog;
-        const std::uint64_t key = live[f.req]->key;
+    const std::size_t max_attempts = runtime::failoverBudget(
+        pool.poolSize(), config_.health.failureThreshold);
+    for (const core::EpochPlan::Slot &f : failed) {
+        const features::ProgramFeatures &prog = *live[f.prog]->prog;
+        const std::uint64_t key = live[f.prog]->key;
         Rng rng = SplitRng(failoverRng_.seedAt(key)).at(f.epoch);
         for (std::size_t attempt = 0; attempt < max_attempts;
              ++attempt) {
@@ -543,16 +500,14 @@ DetectionService::processBatch(std::vector<Request> &batch)
                 break;
             const std::size_t pick = rng.weightedIndex(*pol);
             const core::Hmd &det = *pool.detectors()[pick];
-            const std::size_t index =
-                f.epoch * (epoch_len / det.decisionPeriod());
             const double score = det.windowScore(
-                prog.windows(det.decisionPeriod())[index]);
+                core::requireEpochWindow(prog, epoch_len, det, f.epoch));
             const bool faulted =
                 chaos_.scoreFault(key, f.epoch, pick) ||
                 !validScore(score);
             const std::lock_guard<std::mutex> lock(state->healthMutex);
             if (faulted) {
-                ++failures[f.req];
+                ++failures[f.prog];
                 counters.detectorFailures.add(1);
                 state->health.recordFailure(
                     pick,
@@ -561,9 +516,9 @@ DetectionService::processBatch(std::vector<Request> &batch)
                 continue;
             }
             state->health.recordSuccess(pick);
-            decided[f.req][f.epoch] =
+            decided[f.prog][f.epoch] =
                 score >= det.threshold() ? 1 : 0;
-            marginSum[f.req] += std::abs(score - det.threshold());
+            marginSum[f.prog] += std::abs(score - det.threshold());
             break;
         }
     }
@@ -598,11 +553,7 @@ DetectionService::processBatch(std::vector<Request> &batch)
                 report.detectorFailures, " detector failures)"));
             continue;
         }
-        std::size_t malware_votes = 0;
-        for (int d : report.decisions)
-            malware_votes += d != 0 ? 1 : 0;
-        report.programDecision =
-            2 * malware_votes >= report.decisions.size() ? 1 : 0;
+        report.programDecision = core::majorityVote(report.decisions);
         report.meanMargin =
             marginSum[r] / static_cast<double>(report.classified);
         counters.responses.add(1);
@@ -626,30 +577,31 @@ DetectionService::shadowScore(const features::ProgramFeatures &prog,
     // verdict for a key is a pure function of (service seed, key,
     // candidate) — independent of batch composition and of the live
     // pool version the request happened to be served by.
-    const std::uint32_t epoch_len = candidate.decisionPeriod();
-    const auto &epochs = prog.windows(epoch_len);
     Rng rng = switchRng_.at(key);
+    core::EpochPlan plan(candidate.detectors(), candidate.decisionPeriod());
+    // Per-epoch margins, 0 where the score was invalid, summed in
+    // epoch order below.
+    std::vector<double> margins(plan.draw(prog, [&rng, &candidate] {
+        return rng.weightedIndex(candidate.policy());
+    }));
     std::size_t malware_votes = 0;
     std::size_t classified = 0;
+    plan.score([&](std::size_t d,
+                   const std::vector<core::EpochPlan::Slot> &slots,
+                   const std::vector<double> &scores) {
+        const double threshold = candidate.detectors()[d]->threshold();
+        for (std::size_t i = 0; i < scores.size(); ++i) {
+            if (!validScore(scores[i]))
+                continue;
+            ++classified;
+            malware_votes += scores[i] >= threshold ? 1 : 0;
+            margins[slots[i].epoch] = std::abs(scores[i] - threshold);
+        }
+    });
     double margin_sum = 0.0;
-    for (std::size_t e = 0; e < epochs.size(); ++e) {
-        const std::size_t pick = rng.weightedIndex(candidate.policy());
-        const core::Hmd &det = *candidate.detectors()[pick];
-        const std::uint32_t period = det.decisionPeriod();
-        const std::size_t index = e * (epoch_len / period);
-        const auto &windows = prog.windows(period);
-        panic_if(index >= windows.size(),
-                 "shadow window index out of range for period ",
-                 period);
-        const double score = det.windowScore(windows[index]);
-        if (!validScore(score))
-            continue;
-        ++classified;
-        malware_votes += score >= det.threshold() ? 1 : 0;
-        margin_sum += std::abs(score - det.threshold());
-    }
-    const int shadow_decision =
-        classified > 0 && 2 * malware_votes >= classified ? 1 : 0;
+    for (double margin : margins)
+        margin_sum += margin;
+    const int shadow_decision = core::majorityVote(malware_votes, classified);
     const std::lock_guard<std::mutex> lock(shadowMutex_);
     shadowStats_.requests += 1;
     shadowStats_.agreements += shadow_decision == live_decision ? 1 : 0;

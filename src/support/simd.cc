@@ -35,12 +35,6 @@ targetCompiled(Target target)
 #else
         return false;
 #endif
-      case Target::Neon:
-#if defined(__ARM_NEON) && defined(__aarch64__)
-        return true;
-#else
-        return false;
-#endif
     }
     rhmd_panic("bad simd target");
 }
@@ -61,12 +55,6 @@ hostSupports(Target target)
       case Target::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
         return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-      case Target::Neon:
-#if defined(__ARM_NEON) && defined(__aarch64__)
-        return true;
 #else
         return false;
 #endif
@@ -103,8 +91,6 @@ targetName(Target target)
         return "sse2";
       case Target::Avx2:
         return "avx2";
-      case Target::Neon:
-        return "neon";
     }
     rhmd_panic("bad simd target");
 }
@@ -119,8 +105,7 @@ std::vector<Target>
 supportedTargets()
 {
     std::vector<Target> out;
-    for (Target target : {Target::Scalar, Target::Sse2, Target::Neon,
-                          Target::Avx2}) {
+    for (Target target : {Target::Scalar, Target::Sse2, Target::Avx2}) {
         if (targetSupported(target))
             out.push_back(target);
     }
@@ -139,8 +124,7 @@ parseTarget(const std::string &name)
 {
     if (name == "auto")
         return bestTarget();
-    for (Target target : {Target::Scalar, Target::Sse2, Target::Avx2,
-                          Target::Neon}) {
+    for (Target target : {Target::Scalar, Target::Sse2, Target::Avx2}) {
         if (name != targetName(target))
             continue;
         fatal_if(!targetSupported(target), "RHMD_SIMD target '", name,
@@ -151,7 +135,7 @@ parseTarget(const std::string &name)
         return target;
     }
     rhmd_fatal("unknown RHMD_SIMD target '", name,
-               "' (expected scalar, sse2, avx2, neon, or auto)");
+               "' (expected scalar, sse2, avx2, or auto)");
 }
 
 Target

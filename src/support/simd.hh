@@ -17,7 +17,7 @@
  *     one templated kernel body (src/ml/kernels_impl.hh) can be
  *     instantiated per target TU. Each wrapper is only defined when
  *     the translation unit is compiled for that instruction set
- *     (__SSE2__/__AVX2__/__ARM_NEON), which is how the per-target
+ *     (__SSE2__/__AVX2__), which is how the per-target
  *     kernel files select their width.
  *
  * Determinism contract (DESIGN.md section 14): kernels built on these
@@ -43,9 +43,6 @@
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
-#if defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 namespace rhmd::simd
 {
@@ -55,8 +52,7 @@ enum class Target : std::uint8_t
 {
     Scalar = 0,  ///< reference implementation, any machine
     Sse2,        ///< x86-64 baseline, 2 double lanes
-    Avx2,        ///< 4 double lanes + gathers (tree kernels)
-    Neon,        ///< aarch64 baseline, 2 double lanes
+    Avx2,        ///< 4 double lanes
 };
 
 /**
@@ -67,7 +63,7 @@ enum class Target : std::uint8_t
  */
 constexpr std::size_t kMaxLanes = 8;
 
-/** Lower-case target name ("scalar", "sse2", "avx2", "neon"). */
+/** Lower-case target name ("scalar", "sse2", "avx2"). */
 const char *targetName(Target target);
 
 /**
@@ -83,9 +79,9 @@ std::vector<Target> supportedTargets();
 Target bestTarget();
 
 /**
- * Parse a RHMD_SIMD-style name: "scalar", "sse2", "avx2", "neon" or
- * "auto". Fatal on an unknown name or a target this machine cannot
- * run — a forced target must never silently degrade, or the CI
+ * Parse a RHMD_SIMD-style name: "scalar", "sse2", "avx2" or "auto".
+ * Fatal on an unknown name or a target this machine cannot run — a
+ * forced target must never silently degrade, or the CI
  * dispatch matrix would diff a lane width it did not ask for.
  */
 Target parseTarget(const std::string &name);
@@ -112,39 +108,6 @@ void setActiveTarget(Target target);
 //   zero()             all lanes = +0.0
 //   fromU32(p)         exact double(p[0..W)) from uint32_t
 //   a + b, a - b, a * b, a / b   lane-wise, exactly rounded
-
-/** 1-lane "vector": the scalar reference, usable everywhere. */
-struct VecScalar
-{
-    static constexpr std::size_t kLanes = 1;
-    double v;
-
-    static VecScalar load(const double *p) { return {*p}; }
-    static VecScalar broadcast(double x) { return {x}; }
-    static VecScalar zero() { return {0.0}; }
-    static VecScalar fromU32(const std::uint32_t *p)
-    {
-        return {static_cast<double>(*p)};
-    }
-    void store(double *p) const { *p = v; }
-
-    friend VecScalar operator+(VecScalar a, VecScalar b)
-    {
-        return {a.v + b.v};
-    }
-    friend VecScalar operator-(VecScalar a, VecScalar b)
-    {
-        return {a.v - b.v};
-    }
-    friend VecScalar operator*(VecScalar a, VecScalar b)
-    {
-        return {a.v * b.v};
-    }
-    friend VecScalar operator/(VecScalar a, VecScalar b)
-    {
-        return {a.v / b.v};
-    }
-};
 
 #if defined(__SSE2__)
 /** 2 double lanes on the x86-64 baseline. */
@@ -230,41 +193,6 @@ struct VecAvx2
 };
 #endif // __AVX2__
 
-#if defined(__ARM_NEON) && defined(__aarch64__)
-/** 2 double lanes on the aarch64 baseline. */
-struct VecNeon
-{
-    static constexpr std::size_t kLanes = 2;
-    float64x2_t v;
-
-    static VecNeon load(const double *p) { return {vld1q_f64(p)}; }
-    static VecNeon broadcast(double x) { return {vdupq_n_f64(x)}; }
-    static VecNeon zero() { return {vdupq_n_f64(0.0)}; }
-    static VecNeon fromU32(const std::uint32_t *p)
-    {
-        const std::uint64_t widened[2] = {p[0], p[1]};
-        return {vcvtq_f64_u64(vld1q_u64(widened))};
-    }
-    void store(double *p) const { vst1q_f64(p, v); }
-
-    friend VecNeon operator+(VecNeon a, VecNeon b)
-    {
-        return {vaddq_f64(a.v, b.v)};
-    }
-    friend VecNeon operator-(VecNeon a, VecNeon b)
-    {
-        return {vsubq_f64(a.v, b.v)};
-    }
-    friend VecNeon operator*(VecNeon a, VecNeon b)
-    {
-        return {vmulq_f64(a.v, b.v)};
-    }
-    friend VecNeon operator/(VecNeon a, VecNeon b)
-    {
-        return {vdivq_f64(a.v, b.v)};
-    }
-};
-#endif // __ARM_NEON && __aarch64__
 
 } // namespace rhmd::simd
 

@@ -174,10 +174,6 @@ TEST(Certifier, UnknownFamilyIsFatal)
     class Opaque : public ml::Classifier
     {
         void train(const ml::Dataset &, Rng &) override {}
-        double score(const std::vector<double> &) const override
-        {
-            return 1.0;
-        }
         std::vector<double>
         scoreBatch(const features::FeatureMatrix &m) const override
         {

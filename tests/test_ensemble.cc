@@ -146,6 +146,52 @@ TEST(Rotating, DetectsMalware)
               exp.detectionRateOn(pool, test_ben) + 0.2);
 }
 
+TEST(Rotating, DecideMatchesSerialReplayOfItsStream)
+{
+    // Mixed periods, so the leading sub-window index matters: every
+    // epoch replays the rotation check, the pick draw and the picked
+    // candidate's own window decision, one epoch at a time.
+    const Experiment &exp = sharedExperiment();
+    const std::size_t active_size = 2;
+    const std::uint32_t rotation = 3;
+    const std::uint64_t seed = 41;
+    RotatingRhmd pool(
+        trainedDetectors({spec(features::FeatureKind::Instructions, 10000),
+                          spec(features::FeatureKind::Memory, 5000),
+                          spec(features::FeatureKind::Architectural, 10000),
+                          spec(features::FeatureKind::Instructions, 5000)},
+                         30),
+        active_size, rotation, seed);
+    ASSERT_EQ(pool.decisionPeriod(), 10000u);
+
+    Rng rng(seed);
+    std::vector<std::size_t> active;
+    std::uint32_t until_rotation = 0;
+    const auto rotate = [&] {
+        const std::vector<std::size_t> perm =
+            rng.permutation(pool.candidates().size());
+        active.assign(perm.begin(), perm.begin() + active_size);
+        until_rotation = rotation;
+    };
+    rotate();
+    for (std::size_t p = 0; p < 10; ++p) {
+        const auto &prog = exp.corpus().programs[p];
+        std::vector<int> expected;
+        for (std::size_t e = 0; e < prog.windows(10000).size(); ++e) {
+            if (until_rotation == 0)
+                rotate();
+            --until_rotation;
+            const Hmd &det =
+                *pool.candidates()[active[rng.below(active.size())]];
+            const std::uint32_t period = det.decisionPeriod();
+            expected.push_back(det.windowDecision(
+                prog.windows(period)[e * (10000 / period)]));
+        }
+        EXPECT_EQ(pool.decide(prog), expected) << "program " << p;
+        EXPECT_EQ(pool.activeSubset(), active) << "program " << p;
+    }
+}
+
 TEST(Rotating, ValidatesConstruction)
 {
     EXPECT_EXIT(RotatingRhmd({}, 1, 4, 1), ::testing::ExitedWithCode(1),

@@ -149,6 +149,60 @@ TEST(Pac, MeasuredAttackerErrorRespectsLowerBound)
         << report.lowerBound;
 }
 
+TEST(Pac, CountsMatchPerWindowDecisionLoop)
+{
+    // Mixed periods: the 5000-period detector classifies the leading
+    // half of each 10000-instruction epoch.
+    const Experiment &exp = sharedExperiment();
+    std::vector<features::FeatureSpec> specs(3);
+    specs[0].kind = features::FeatureKind::Instructions;
+    specs[0].period = 10000;
+    specs[1].kind = features::FeatureKind::Memory;
+    specs[1].period = 5000;
+    specs[2].kind = features::FeatureKind::Architectural;
+    specs[2].period = 10000;
+    const auto rhmd = buildRhmd("LR", specs, exp.corpus(),
+                                exp.split().victimTrain, 16, 21);
+    const std::vector<std::size_t> &test = exp.split().attackerTest;
+    const PacReport report = computePac(*rhmd, exp.corpus(), test);
+
+    const std::size_t n = rhmd->poolSize();
+    const std::uint32_t epoch = rhmd->decisionPeriod();
+    std::vector<std::size_t> errors(n, 0);
+    std::vector<std::vector<std::size_t>> disagree(
+        n, std::vector<std::size_t>(n, 0));
+    std::size_t epochs = 0;
+    for (std::size_t idx : test) {
+        const features::ProgramFeatures &prog = exp.corpus().programs[idx];
+        for (std::size_t e = 0; e < prog.windows(epoch).size(); ++e) {
+            std::vector<int> decisions(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                const Hmd &det = *rhmd->detectors()[i];
+                const std::uint32_t period = det.decisionPeriod();
+                decisions[i] = det.windowDecision(
+                    prog.windows(period)[e * (epoch / period)]);
+            }
+            ++epochs;
+            for (std::size_t i = 0; i < n; ++i) {
+                errors[i] += decisions[i] != (prog.malware ? 1 : 0);
+                for (std::size_t j = 0; j < n; ++j)
+                    disagree[i][j] += decisions[i] != decisions[j];
+            }
+        }
+    }
+    ASSERT_GT(epochs, 0u);
+    const auto rate = [epochs](std::size_t count) {
+        return static_cast<double>(count) / static_cast<double>(epochs);
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(report.baseErrors[i], rate(errors[i])) << i;
+        for (std::size_t j = 0; j < n; ++j) {
+            EXPECT_EQ(report.disagreement[i][j], rate(disagree[i][j]))
+                << i << "," << j;
+        }
+    }
+}
+
 TEST(Pac, RequiresTestPrograms)
 {
     const Experiment &exp = sharedExperiment();

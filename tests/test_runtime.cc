@@ -51,6 +51,19 @@ threeDetectorPool(std::uint64_t seed = 5)
                            exp.split().victimTrain, 16, seed);
 }
 
+std::unique_ptr<core::Rhmd>
+twoDetectorPool()
+{
+    const core::Experiment &exp = sharedExperiment();
+    std::vector<features::FeatureSpec> specs(2);
+    specs[0].kind = features::FeatureKind::Instructions;
+    specs[0].period = 10000;
+    specs[1].kind = features::FeatureKind::Memory;
+    specs[1].period = 10000;
+    return core::buildRhmd("LR", specs, exp.corpus(),
+                           exp.split().victimTrain, 16, 5);
+}
+
 features::RawWindow
 syntheticWindow(std::uint32_t fill)
 {
@@ -374,6 +387,46 @@ TEST(Runtime, WholePoolFailureIsAnErrorNotAnAbort)
               support::StatusCode::Unavailable);
     EXPECT_EQ(runtime.health().quarantinedCount(), 3u);
     EXPECT_EQ(runtime.failedPrograms(), 1u);
+}
+
+TEST(Runtime, NeverQuarantineThresholdStillClassifiesEveryEpoch)
+{
+    // pool size * threshold wraps to 0 in 64-bit arithmetic; the
+    // capped failover budget must still allow every epoch its draw.
+    auto pool = twoDetectorPool();
+    RuntimeConfig config;
+    config.health.failureThreshold = std::size_t{1} << 63;
+    DetectionRuntime runtime(*pool, config);
+
+    const auto &prog = sharedExperiment().corpus().programs[0];
+    auto report = runtime.processProgram(prog);
+    ASSERT_TRUE(report.isOk()) << report.status().toString();
+    EXPECT_EQ(report->classified, report->epochs);
+    EXPECT_EQ(report->detectorFailures, 0u);
+}
+
+TEST(Runtime, BrokenPoolRedrawsAreCappedPerEpoch)
+{
+    // A threshold no epoch can reach never quarantines, so a fully
+    // broken pool redraws each epoch until the capped budget runs out
+    // instead of pool size * threshold times.
+    auto pool = threeDetectorPool();
+    RuntimeConfig config;
+    config.health.failureThreshold = 1u << 12;
+    config.faults.brokenDetectors = {0, 1, 2};
+    DetectionRuntime runtime(*pool, config);
+
+    const auto &prog = sharedExperiment().corpus().programs[0];
+    auto report = runtime.processProgram(prog);
+    ASSERT_FALSE(report.isOk());
+    EXPECT_EQ(report.status().code(),
+              support::StatusCode::Unavailable);
+    std::size_t failures = 0;
+    for (std::size_t i = 0; i < pool->poolSize(); ++i)
+        failures += runtime.health().failureCount(i);
+    EXPECT_EQ(failures,
+              kMaxFailoverAttempts * prog.windows(10000).size());
+    EXPECT_EQ(runtime.health().quarantinedCount(), 0u);
 }
 
 TEST(Runtime, TransientSensorFailuresAreRetried)

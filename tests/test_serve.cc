@@ -322,9 +322,9 @@ TEST(Serve, StopIsIdempotentAndDrainsBacklog)
 TEST(ScoreBatch, BitIdenticalToSerialForEveryAlgorithm)
 {
     // Train each algorithm on separable blobs, then compare
-    // scoreBatch() against row-by-row score() on fresh points. The
-    // contract is bit-identical, not approximately equal: the batch
-    // path must keep the serial accumulation order exactly.
+    // scoreBatch() against one-row score() calls on fresh points. The
+    // contract is bit-identical, not approximately equal: a row must
+    // score the same alone as inside a batch.
     Rng data_rng(41);
     ml::Dataset data;
     for (std::size_t i = 0; i < 240; ++i) {

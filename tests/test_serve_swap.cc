@@ -253,8 +253,9 @@ TEST(Breaker, ProbeFailureReopensWithLongerCooldown)
     EXPECT_TRUE(breaker.allow(3.6));
     // Closing resets the schedule to the initial cool-down.
     breaker.recordSuccess(3.6);
-    if (config.probeQuota > 1)
+    if (config.probeQuota > 1) {
         ASSERT_TRUE(breaker.allow(3.6));
+    }
     breaker.recordSuccess(3.6);
     EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
 }
@@ -771,9 +772,10 @@ TEST(ServeChaos, KeyedFaultsKeepDecisionsScheduleIndependent)
                 report->decisions, report->detectorFailures);
             const auto [it, inserted] =
                 reference.emplace(key, outcome);
-            if (!inserted)
+            if (!inserted) {
                 EXPECT_EQ(it->second, outcome)
                     << "schedule-dependent outcome at key " << key;
+            }
             ++key;
         }
     }

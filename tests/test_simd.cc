@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -112,8 +113,11 @@ TEST(Dispatch, ParseTargetRoundTripsEverySupportedName)
 
 TEST(Dispatch, UnknownTargetNameIsFatal)
 {
-    EXPECT_DEATH((void)simd::parseTarget("avx1024"),
-                 "unknown RHMD_SIMD target");
+    // There is no neon target: aarch64 builds run the scalar table.
+    for (const char *name : {"avx1024", "neon"}) {
+        EXPECT_DEATH((void)simd::parseTarget(name),
+                     "unknown RHMD_SIMD target");
+    }
 }
 
 TEST(Dispatch, KernelTableMatchesRequestedTarget)
@@ -313,7 +317,7 @@ TEST(Families, TenThousandWindowsBitEqualAcrossTargets)
                             simd::targetName(target))
                                .c_str());
         });
-        // And the batch must still match the serial per-row path.
+        // A row scores the same alone as inside the 10k batch.
         for (std::size_t r = 0; r < 32; ++r) {
             EXPECT_EQ(ref[r], clf->score(big.rowVector(r)))
                 << clf->name() << " row " << r;
@@ -354,6 +358,118 @@ TEST(Families, MatrixWithoutSoaFallsBackBitEqual)
             expectBitEqual(clf->scoreBatch(m), ref,
                            simd::targetName(target));
         });
+    }
+}
+
+/**
+ * The leaf @p row reaches by walking @p nodes from the root, reading
+ * tree input j as row[sel[j]] (row[j] when @p sel is null): `x <= t`
+ * goes left, so NaN goes right.
+ */
+double
+walkNodes(const std::vector<ml::DecisionTree::Node> &nodes,
+          const std::vector<std::size_t> *sel, const double *row)
+{
+    std::size_t n = 0;
+    while (!nodes[n].leaf) {
+        const ml::DecisionTree::Node &node = nodes[n];
+        const double x =
+            row[sel == nullptr ? node.feature : (*sel)[node.feature]];
+        n = static_cast<std::size_t>(x <= node.threshold ? node.left
+                                                         : node.right);
+    }
+    return nodes[n].value;
+}
+
+/** Mean leaf value @p row reaches over @p forest's trees. */
+double
+walkForest(const ml::RandomForest &forest, const double *row)
+{
+    double total = 0.0;
+    for (std::size_t t = 0; t < forest.treeCount(); ++t) {
+        total += walkNodes(forest.trees()[t].nodes(),
+                           &forest.featureSelections()[t], row);
+    }
+    return total / static_cast<double>(forest.treeCount());
+}
+
+TEST(Families, TreeScoresMatchNodeWalksOnEveryTarget)
+{
+    // The flattened kernel layouts (and, for forests, the split remap
+    // through each tree's feature selection) against walks over the
+    // grown nodes, on 1200 rows where about one entry in twelve is
+    // NaN, +Inf or -Inf.
+    const std::size_t d = 9;
+    Rng data_rng(34);
+    ml::Dataset data;
+    for (std::size_t i = 0; i < 800; ++i) {
+        std::vector<double> x(d);
+        for (double &v : x)
+            v = data_rng.uniform(-1.0, 1.0);
+        // An oblique boundary, so the trees grow deep.
+        data.add(x, x[0] + x[1] * x[2] - 0.5 * x[8] > 0.0 ? 1 : 0);
+    }
+    ml::DecisionTree tree;
+    Rng tree_rng(11);
+    tree.train(data, tree_rng);
+    ASSERT_GT(tree.depth(), 3u);
+    // Depth 6 caps a tree at 64 leaves, so the avx2 forest kernel
+    // takes the bitvector form; trees split down to single samples
+    // outgrow it and the forest takes the scalar walk.
+    ml::ForestConfig shallow;
+    shallow.trees = 9;
+    shallow.tree.maxDepth = 6;
+    ml::ForestConfig deep;
+    deep.trees = 5;
+    deep.tree.maxDepth = 10;
+    deep.tree.minSamplesLeaf = 1;
+    deep.tree.minSamplesSplit = 2;
+    std::vector<ml::RandomForest> forests = {ml::RandomForest(shallow),
+                                             ml::RandomForest(deep)};
+    for (ml::RandomForest &forest : forests) {
+        Rng forest_rng(12);
+        forest.train(data, forest_rng);
+        ASSERT_LT(forest.featureSelections().front().size(), d);
+    }
+    std::size_t deep_leaves = 0;
+    for (const ml::DecisionTree &t : forests[1].trees()) {
+        std::size_t leaves = 0;
+        for (const ml::DecisionTree::Node &node : t.nodes())
+            leaves += node.leaf ? 1 : 0;
+        deep_leaves = std::max(deep_leaves, leaves);
+    }
+    ASSERT_GT(deep_leaves, 64u);
+
+    const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+    features::FeatureMatrix x = randomMatrix(1200, d, 44, /*soa=*/false);
+    Rng special_rng(45);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t j = 0; j < d; ++j) {
+            if (special_rng.below(12) == 0)
+                x.row(r)[j] = specials[special_rng.below(3)];
+        }
+    }
+    x.buildSoa();
+
+    std::vector<double> tree_ref(x.rows());
+    std::vector<std::vector<double>> forest_ref(
+        forests.size(), std::vector<double>(x.rows()));
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        tree_ref[r] = walkNodes(tree.nodes(), nullptr, x.row(r));
+        for (std::size_t f = 0; f < forests.size(); ++f)
+            forest_ref[f][r] = walkForest(forests[f], x.row(r));
+    }
+    TargetGuard guard;
+    for (simd::Target target : simd::supportedTargets()) {
+        simd::setActiveTarget(target);
+        expectBitEqual(tree.scoreBatch(x), tree_ref,
+                       simd::targetName(target));
+        for (std::size_t f = 0; f < forests.size(); ++f) {
+            expectBitEqual(forests[f].scoreBatch(x), forest_ref[f],
+                           simd::targetName(target));
+        }
     }
 }
 
@@ -419,15 +535,15 @@ TEST(Hmd, TruncatedTailWindowsScoreBitEqualAcrossTargets)
     hmd.train(windows, labels);
 
     // Batch includes truncated tails (one per class); every target's
-    // batch scores must equal the serial per-window path bit for bit.
-    std::vector<double> serial;
-    serial.reserve(windows.size());
+    // batch scores must equal each window scored alone, bit for bit.
+    std::vector<double> alone;
+    alone.reserve(windows.size());
     for (const auto *win : windows)
-        serial.push_back(hmd.windowScore(*win));
+        alone.push_back(hmd.windowScore(*win));
 
     for (simd::Target target : simd::supportedTargets()) {
         simd::setActiveTarget(target);
-        expectBitEqual(hmd.scoreWindows(windows), serial,
+        expectBitEqual(hmd.scoreWindows(windows), alone,
                        simd::targetName(target));
     }
 }

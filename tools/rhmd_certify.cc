@@ -284,15 +284,11 @@ main(int argc, char **argv)
                     for (std::size_t i = 0; i < (*pool)->poolSize();
                          ++i) {
                         const core::Hmd &det = *(*pool)->detectors()[i];
-                        const std::uint32_t period =
-                            det.decisionPeriod();
-                        const std::size_t stride = epoch / period;
-                        const std::size_t n_epochs =
-                            prog.windows(epoch).size();
-                        for (std::size_t e = 0; e < n_epochs; ++e) {
+                        const std::vector<const features::RawWindow *>
+                            windows = core::epochWindows(prog, epoch, det);
+                        for (std::size_t e = 0; e < windows.size(); ++e) {
                             const std::vector<double> x =
-                                det.featureVector(
-                                    prog.windows(period)[e * stride]);
+                                det.featureVector(*windows[e]);
                             const double radius =
                                 analysis::certify::stabilityRadius(
                                     det.classifier(), det.threshold(),
