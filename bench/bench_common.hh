@@ -281,15 +281,18 @@ finish()
         json += "    {\"headers\": [";
         for (std::size_t h = 0; h < table.headers.size(); ++h) {
             json += (h > 0 ? ", " : "");
-            json += "\"" + detail::jsonEscape(table.headers[h]) + "\"";
+            json += '"';
+            json += detail::jsonEscape(table.headers[h]);
+            json += '"';
         }
         json += "], \"rows\": [\n";
         for (std::size_t r = 0; r < table.rows.size(); ++r) {
             json += "      [";
             for (std::size_t c = 0; c < table.rows[r].size(); ++c) {
                 json += (c > 0 ? ", " : "");
-                json += "\"" + detail::jsonEscape(table.rows[r][c]) +
-                        "\"";
+                json += '"';
+                json += detail::jsonEscape(table.rows[r][c]);
+                json += '"';
             }
             json += r + 1 < table.rows.size() ? "],\n" : "]\n";
         }

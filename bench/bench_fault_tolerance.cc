@@ -5,13 +5,15 @@
  *
  * Beyond the paper: the paper deploys RHMD as always-on hardware
  * (Sec. 7) but evaluates it on clean feature streams. This harness
- * streams the attacker-test programs through the deployment runtime
- * (src/runtime/) under increasingly hostile fault models — counter
- * noise, dropped/truncated windows, stuck counters, transient read
- * failures, and hard base-detector failures — and reports the
- * detection-rate degradation curve plus the health monitor's
- * quarantine behaviour. The headline claim: the pool *degrades* (a
- * bounded detection-rate loss) instead of aborting.
+ * reads the attacker-test programs through a faulty sensor
+ * (runtime::FaultInjector::sense) and serves the sensed streams
+ * through serve::DetectionService under increasingly hostile fault
+ * models — counter noise, dropped epochs, truncated windows, stuck
+ * counters, transient read failures, and hard base-detector failures
+ * (serve::ChaosConfig) — and reports the detection-rate degradation
+ * curve plus the health monitor's quarantine behaviour. The headline
+ * claim: the pool *degrades* (a bounded detection-rate loss) instead
+ * of aborting.
  */
 
 #include "bench_common.hh"
@@ -19,7 +21,8 @@
 #include <sstream>
 
 #include "ml/serialize.hh"
-#include "runtime/runtime.hh"
+#include "runtime/fault_injection.hh"
+#include "serve/service.hh"
 
 namespace
 {
@@ -32,6 +35,8 @@ struct Scenario
     std::string name;
     runtime::FaultConfig faults;
     support::RetryPolicy retry{};
+    /** Detectors whose scores always fail. */
+    std::vector<std::size_t> broken;
 };
 
 } // namespace
@@ -70,7 +75,7 @@ main(int argc, char **argv)
         test_ben.push_back(&exp.corpus().programs[idx]);
 
     std::vector<Scenario> scenarios;
-    scenarios.push_back({"clean", {}, {}});
+    scenarios.push_back({"clean", {}, {}, {}});
     for (double sigma : {0.05, 0.15, 0.30}) {
         Scenario s;
         s.name = "noise sigma=" + Table::cell(sigma, 2);
@@ -106,7 +111,7 @@ main(int argc, char **argv)
     {
         Scenario s;
         s.name = "1 broken detector";
-        s.faults.brokenDetectors = {0};
+        s.broken = {0};
         scenarios.push_back(s);
     }
     {
@@ -114,7 +119,7 @@ main(int argc, char **argv)
         // dropped and noisy windows, simultaneously.
         Scenario s;
         s.name = "broken + drop 0.10 + noise 0.10";
-        s.faults.brokenDetectors = {0};
+        s.broken = {0};
         s.faults.dropWindowProb = 0.10;
         s.faults.counterNoiseSigma = 0.10;
         scenarios.push_back(s);
@@ -122,7 +127,7 @@ main(int argc, char **argv)
     {
         Scenario s;
         s.name = "2 broken + drop 0.25";
-        s.faults.brokenDetectors = {0, 3};
+        s.broken = {0, 3};
         s.faults.dropWindowProb = 0.25;
         scenarios.push_back(s);
     }
@@ -131,25 +136,36 @@ main(int argc, char **argv)
                  "classified", "retries", "quarantined", "failed_runs"});
     double clean_sens = 0.0;
     for (const Scenario &scenario : scenarios) {
-        runtime::RuntimeConfig rt;
-        rt.faults = scenario.faults;
-        rt.faults.seed = 0xfa1717;
-        rt.sensorRetry = scenario.retry;
-        runtime::DetectionRuntime deployed(*pool, rt);
+        // One service per scenario and one request per batch: a
+        // single worker, and each answer is awaited before the next
+        // submit, so health advances once per program,
+        // deterministically.
+        serve::ServeConfig sc;
+        sc.workers = 1;
+        sc.chaos.enabled = !scenario.broken.empty();
+        sc.chaos.brokenDetectors = scenario.broken;
+        serve::DetectionService service(*pool, sc);
 
+        runtime::FaultConfig faults = scenario.faults;
+        faults.seed = 0xfa1717;
+        runtime::FaultInjector sensor(faults);
+        runtime::SenseReport sensed;
         std::size_t classified = 0;
-        std::size_t epochs = 0;
-        std::size_t retries = 0;
+        std::size_t failed = 0;
+        std::uint64_t key = 0;
         auto tally = [&](const std::vector<
                          const features::ProgramFeatures *> &programs) {
             std::size_t detected = 0;
             for (const auto *prog : programs) {
-                auto report = deployed.processProgram(*prog);
-                if (!report.isOk())
+                const features::ProgramFeatures stream = sensor.sense(
+                    *prog, pool->decisionPeriod(), scenario.retry,
+                    sensed);
+                const auto report = service.submit(stream, key++).get();
+                if (!report.isOk()) {
+                    ++failed;
                     continue;
+                }
                 classified += report->classified;
-                epochs += report->epochs;
-                retries += report->sensorRetries;
                 detected += report->programDecision == 1 ? 1 : 0;
             }
             return static_cast<double>(detected) /
@@ -157,6 +173,7 @@ main(int argc, char **argv)
         };
         const double sens = tally(test_mal);
         const double fpr = tally(test_ben);
+        service.stop();
         if (scenario.name == "clean")
             clean_sens = sens;
 
@@ -164,10 +181,10 @@ main(int argc, char **argv)
             {scenario.name, Table::percent(sens), Table::percent(fpr),
              Table::percent(sens - clean_sens),
              Table::percent(static_cast<double>(classified) /
-                            static_cast<double>(epochs)),
-             std::to_string(retries),
-             std::to_string(deployed.health().quarantinedCount()),
-             std::to_string(deployed.failedPrograms())});
+                            static_cast<double>(sensed.epochs)),
+             std::to_string(sensed.retry.retries),
+             std::to_string(service.health().quarantinedCount()),
+             std::to_string(failed)});
     }
     emitTable(table);
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * Degraded deployment: run an RHMD pool through the online runtime
- * while one base detector is broken and the sensor path drops and
- * perturbs windows. Shows the health monitor quarantining the
- * failing detector, the switching policy renormalizing over the
- * survivors, and corrupt model bytes surfacing as a recoverable
- * Status instead of a crash.
+ * Degraded deployment: serve an RHMD pool while one base detector
+ * is broken and the sensor path drops and perturbs windows. Shows the
+ * health monitor quarantining the failing detector, the switching
+ * policy renormalizing over the survivors, and corrupt model bytes
+ * surfacing as a recoverable Status instead of a crash.
  */
 
 #include <cstdio>
@@ -13,7 +12,8 @@
 
 #include "core/experiment.hh"
 #include "ml/serialize.hh"
-#include "runtime/runtime.hh"
+#include "runtime/fault_injection.hh"
+#include "serve/service.hh"
 
 using namespace rhmd;
 
@@ -43,63 +43,70 @@ main()
     std::printf("deployed pool: %zu detectors, epoch %u insts\n",
                 pool->poolSize(), pool->decisionPeriod());
 
-    // 2. A hostile deployment: detector 0 returns NaN scores, 10%% of
-    //    windows are dropped by the sensor path, and counter reads
-    //    carry 10%% relative Gaussian noise.
-    runtime::RuntimeConfig rt;
-    rt.faults.brokenDetectors = {0};
-    rt.faults.dropWindowProb = 0.10;
-    rt.faults.counterNoiseSigma = 0.10;
-    rt.faults.seed = 42;
-    runtime::DetectionRuntime deployed(*pool, rt);
+    // 2. A hostile deployment: detector 0's scores always fail, 10%
+    //    of epochs are lost by the sensor path, and counter reads
+    //    carry 10% relative Gaussian noise. Sensor faults shape the
+    //    stream the caller submits; detector faults are the service's.
+    runtime::FaultConfig faults;
+    faults.dropWindowProb = 0.10;
+    faults.counterNoiseSigma = 0.10;
+    faults.seed = 42;
+    runtime::FaultInjector sensor(faults);
+    serve::ServeConfig sc;
+    sc.workers = 1;
+    sc.chaos.enabled = true;
+    sc.chaos.brokenDetectors = {0};
+    serve::DetectionService service(*pool, sc);
 
-    // 3. Stream the held-out programs through the runtime. Nothing
-    //    aborts: lost epochs are skipped, the broken detector is
-    //    quarantined, and the survivors keep classifying.
-    std::size_t epochs = 0;
+    // 3. Read each held-out program through the faulty sensor and
+    //    serve the stream it delivers. Nothing aborts: lost epochs
+    //    are skipped, the broken detector is quarantined, and the
+    //    survivors keep classifying.
+    runtime::SenseReport sensed;
     std::size_t classified = 0;
-    std::size_t dropped = 0;
     std::size_t detected = 0;
+    std::uint64_t key = 0;
     const auto test_mal = exp.malwareOf(exp.split().attackerTest);
     for (std::size_t idx : test_mal) {
-        const auto report =
-            deployed.processProgram(exp.corpus().programs[idx]);
+        const features::ProgramFeatures stream = sensor.sense(
+            exp.corpus().programs[idx], service.epochLength(),
+            support::RetryPolicy{}, sensed);
+        const auto report = service.submit(stream, key++).get();
         if (!report.isOk()) {
             std::printf("program lost: %s\n",
                         report.status().toString().c_str());
             continue;
         }
-        epochs += report->epochs;
         classified += report->classified;
-        dropped += report->dropped;
         detected += report->programDecision == 1 ? 1 : 0;
     }
+    service.stop();
     std::printf("classified %zu / %zu epochs (%zu dropped); "
                 "detected %zu / %zu malware programs\n",
-                classified, epochs, dropped, detected,
+                classified, sensed.epochs, sensed.dropped, detected,
                 test_mal.size());
 
     // 4. The structured degradation log tells the operator what
-    //    happened and when.
+    //    happened and when (epochs are drained batches, here one per
+    //    program).
+    const runtime::HealthMonitor health = service.healthSnapshot();
     std::printf("\nhealth event log:\n");
-    for (const auto &event : deployed.health().events()) {
+    for (const auto &event : health.events()) {
         if (event.kind == runtime::HealthEvent::Kind::Failure)
-            continue; // one line per state change, not per NaN
+            continue; // one line per state change, not per failure
         std::printf("  epoch %4llu  detector %zu  %-10s  %s\n",
                     static_cast<unsigned long long>(event.epoch),
                     event.detector,
                     std::string(healthEventName(event.kind)).c_str(),
                     event.detail.c_str());
     }
+    const auto policy = health.effectivePolicy(pool->policy());
     for (std::size_t d = 0; d < pool->poolSize(); ++d) {
         std::printf("  detector %zu: %-11s (%zu failures, "
-                    "%zu selections)\n",
-                    d,
-                    std::string(
-                        healthName(deployed.health().health(d)))
-                        .c_str(),
-                    deployed.health().failureCount(d),
-                    deployed.selectionCounts()[d]);
+                    "policy weight %.3f)\n",
+                    d, std::string(healthName(health.health(d))).c_str(),
+                    health.failureCount(d),
+                    policy.isOk() ? (*policy)[d] : 0.0);
     }
 
     // 5. Corrupt model bytes are a recoverable error, not a crash:

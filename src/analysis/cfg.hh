@@ -12,7 +12,7 @@
  * Unlike trace::Program::validate(), which panics and exists to catch
  * *generator* bugs, these checks emit structured findings and are
  * safe to run on untrusted input — evasion rewrites, deserialized
- * corpora, admission checks in the runtime.
+ * corpora, programs arriving at a deployment.
  */
 
 #ifndef RHMD_ANALYSIS_CFG_HH

@@ -9,8 +9,7 @@
  * branch targets the CFG pass just range-checked).
  *
  * The default pipeline is CfgVerifyPass then PreservationPass, which
- * is what tools/rhmd-verify, the evasion audit, and the runtime's
- * admission check all run.
+ * is what tools/rhmd-verify and the evasion audit run.
  */
 
 #ifndef RHMD_ANALYSIS_VERIFIER_HH

@@ -117,25 +117,17 @@ poolEpoch(const std::vector<std::unique_ptr<Hmd>> &detectors)
     return epoch;
 }
 
-const features::RawWindow *
-epochWindow(const features::ProgramFeatures &prog, std::uint32_t epoch,
-            const Hmd &det, std::size_t e)
+const features::RawWindow &
+requireEpochWindow(const features::ProgramFeatures &prog,
+                   std::uint32_t epoch, const Hmd &det, std::size_t e)
 {
     const std::uint32_t period = det.decisionPeriod();
     const std::vector<features::RawWindow> &windows =
         prog.windows(period);
     const std::size_t index = e * (epoch / period);
-    return index < windows.size() ? &windows[index] : nullptr;
-}
-
-const features::RawWindow &
-requireEpochWindow(const features::ProgramFeatures &prog,
-                   std::uint32_t epoch, const Hmd &det, std::size_t e)
-{
-    const features::RawWindow *window = epochWindow(prog, epoch, det, e);
-    panic_if(window == nullptr, "no window for epoch ", e, " of '",
-             prog.name, "' at period ", det.decisionPeriod());
-    return *window;
+    panic_if(index >= windows.size(), "no window for epoch ", e, " of '",
+             prog.name, "' at period ", period);
+    return windows[index];
 }
 
 std::vector<const features::RawWindow *>

@@ -45,14 +45,8 @@ poolEpoch(const std::vector<std::unique_ptr<Hmd>> &detectors);
  * pool with epoch length @p epoch: its own leading sub-window of the
  * epoch, at index e * (epoch / period). Base periods divide the
  * epoch, so precollected windows line up with epoch boundaries.
- * nullptr when @p prog's stream at that period ends first (a
- * truncated trace).
+ * Panics when @p prog's stream at that period ends first.
  */
-const features::RawWindow *
-epochWindow(const features::ProgramFeatures &prog, std::uint32_t epoch,
-            const Hmd &det, std::size_t e);
-
-/** epochWindow() for streams that must cover the epoch (panics). */
 const features::RawWindow &
 requireEpochWindow(const features::ProgramFeatures &prog,
                    std::uint32_t epoch, const Hmd &det, std::size_t e);
@@ -75,11 +69,12 @@ int majorityVote(const std::vector<int> &decisions);
  * The RHMD epoch rule (Sec. 7) as one schedule. Each epoch of each
  * program draws a base detector from the caller's switching stream;
  * the drawn detector classifies its leading sub-window of the epoch
- * (epochWindow). draw() consumes the stream in program order, then
- * epoch order; score() then runs one Hmd::scoreWindows() pass per
- * drawn detector, in detector-index order, instead of one call per
- * window. A window scores the same in any batch, so decisions match
- * a serial epoch-by-epoch loop over the same stream bit for bit.
+ * (requireEpochWindow). draw() consumes the stream in program order,
+ * then epoch order; score() then runs one Hmd::scoreWindows() pass
+ * per drawn detector, in detector-index order, instead of one call
+ * per window. A window scores the same in any batch, so decisions
+ * match a serial epoch-by-epoch loop over the same stream bit for
+ * bit.
  */
 class EpochPlan
 {

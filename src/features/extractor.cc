@@ -64,9 +64,7 @@ FeatureSession::closeWindow(PeriodAccum &accum, bool truncated)
     RawWindow &win = accum.current;
     // Window boundary: architectural events and cycles are the
     // cumulative monitor/CPI state minus the previous snapshot.
-    // read() routes through the counter fault hook (if any), so
-    // sensor-path noise lands in the extracted windows.
-    const uarch::EventCounts cumulative = monitor_.read();
+    const uarch::EventCounts &cumulative = monitor_.counts();
     uarch::saturatingDelta(cumulative, accum.eventBase, win.events);
     accum.eventBase = cumulative;
     win.cycles = cpi_.cycles() - accum.cycleBase;

@@ -65,12 +65,6 @@ class FeatureSession : public trace::TraceSink
     /** Total committed instructions consumed. */
     std::uint64_t totalInsts() const { return totalInsts_; }
 
-    /**
-     * The monitoring unit, exposed so a fault model can install a
-     * counter-read hook (see uarch::CounterReadHook).
-     */
-    uarch::PerfMonitor &monitor() { return monitor_; }
-
   private:
     struct PeriodAccum
     {

@@ -22,7 +22,7 @@ FaultInjector::FaultInjector(const FaultConfig &config)
     for (double p : {config_.stuckCounterProb, config_.dropWindowProb,
                      config_.truncateWindowProb,
                      config_.transientReadFailProb,
-                     config_.scoreNanProb, config_.byteFlipRate}) {
+                     config_.byteFlipRate}) {
         fatal_if(p < 0.0 || p > 1.0,
                  "fault probabilities must be in [0, 1]");
     }
@@ -57,13 +57,57 @@ FaultInjector::perturbCounts(uarch::EventCounts &events)
         events[stuck_->first] = stuck_->second;
 }
 
+features::ProgramFeatures
+FaultInjector::sense(const features::ProgramFeatures &prog,
+                     std::uint32_t epoch,
+                     const support::RetryPolicy &retry,
+                     SenseReport &report)
+{
+    features::ProgramFeatures sensed;
+    sensed.name = prog.name;
+    sensed.malware = prog.malware;
+    sensed.family = prog.family;
+    for (const auto &entry : prog.byPeriod)
+        sensed.byPeriod.try_emplace(entry.first);
+
+    const std::size_t n_epochs = prog.windows(epoch).size();
+    report.epochs += n_epochs;
+    for (std::size_t e = 0; e < n_epochs; ++e) {
+        const support::Status read = support::retryWithBackoff(
+            retry,
+            [this]() -> support::Status {
+                if (transientReadFailure())
+                    return support::unavailableError(
+                        "transient sensor-read failure");
+                return {};
+            },
+            &report.retry);
+        if (!read.isOk() || (config_.dropWindowProb > 0.0 &&
+                             rng_.chance(config_.dropWindowProb))) {
+            ++report.dropped;
+            continue;
+        }
+        for (const auto &[period, clean] : prog.byPeriod) {
+            if (epoch % period != 0)
+                continue;
+            std::vector<features::RawWindow> &out =
+                sensed.byPeriod[period];
+            const std::size_t per_epoch = epoch / period;
+            const std::size_t end =
+                std::min(clean.size(), (e + 1) * per_epoch);
+            for (std::size_t w = e * per_epoch; w < end; ++w) {
+                out.push_back(clean[w]);
+                if (perturbWindow(out.back()) == WindowFault::Truncated)
+                    ++report.truncated;
+            }
+        }
+    }
+    return sensed;
+}
+
 WindowFault
 FaultInjector::perturbWindow(features::RawWindow &window)
 {
-    if (config_.dropWindowProb > 0.0 &&
-        rng_.chance(config_.dropWindowProb))
-        return WindowFault::Dropped;
-
     WindowFault fault = WindowFault::None;
     if (config_.truncateWindowProb > 0.0 &&
         rng_.chance(config_.truncateWindowProb)) {
@@ -107,18 +151,6 @@ FaultInjector::transientReadFailure()
            rng_.chance(config_.transientReadFailProb);
 }
 
-double
-FaultInjector::perturbScore(std::size_t detector, double score)
-{
-    const auto &broken = config_.brokenDetectors;
-    if (std::find(broken.begin(), broken.end(), detector) !=
-        broken.end())
-        return std::numeric_limits<double>::quiet_NaN();
-    if (config_.scoreNanProb > 0.0 && rng_.chance(config_.scoreNanProb))
-        return std::numeric_limits<double>::quiet_NaN();
-    return score;
-}
-
 std::string
 FaultInjector::corruptText(const std::string &text)
 {
@@ -150,16 +182,6 @@ FaultInjector::keyedFault(std::uint64_t seed, std::uint64_t key,
     const std::uint64_t per_epoch = SplitRng(per_key).seedAt(epoch);
     const std::uint64_t draw = SplitRng(per_epoch).seedAt(detector);
     return static_cast<double>(draw >> 11) * 0x1.0p-53 < prob;
-}
-
-uarch::CounterReadHook
-FaultInjector::counterHook()
-{
-    // Shares this injector's RNG and stuck-counter state; the
-    // injector must outlive the monitor the hook is installed on.
-    return [this](uarch::EventCounts &events) {
-        perturbCounts(events);
-    };
 }
 
 } // namespace rhmd::runtime

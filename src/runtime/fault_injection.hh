@@ -4,13 +4,16 @@
  * paths of a deployed detector.
  *
  * A deployed HMD does not see the clean-lab feature stream: counter
- * reads are noisy and quantized, counters get stuck, windows are
- * dropped or truncated when the collection logic is preempted, and
- * model bytes can be corrupted in storage or transit. This layer
- * models those faults as seeded, per-experiment-configurable
- * perturbations so the fault-tolerance benchmarks are reproducible
- * (cf. Stochastic-HMDs, arXiv:2103.06936, on hardware-induced
- * stochasticity in deployed HMDs).
+ * reads are noisy and quantized, counters get stuck, reads fail
+ * transiently, epochs are lost or windows truncated when the
+ * collection logic is preempted, and model bytes can be corrupted in
+ * storage or transit. This layer models those faults as seeded,
+ * per-experiment-configurable perturbations so the fault-tolerance
+ * benchmarks are reproducible (cf. Stochastic-HMDs, arXiv:2103.06936,
+ * on hardware-induced stochasticity in deployed HMDs). Sensor faults
+ * enter in one place, FaultInjector::sense(), whose output is the
+ * stream a deployment submits to serve::DetectionService; detector
+ * score faults are the service's own (serve::ChaosConfig).
  */
 
 #ifndef RHMD_RUNTIME_FAULT_INJECTION_HH
@@ -19,9 +22,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "features/corpus.hh"
 #include "features/window.hh"
+#include "support/retry.hh"
 #include "support/rng.hh"
 #include "uarch/perf_counters.hh"
 
@@ -43,26 +47,20 @@ struct FaultConfig
      */
     double stuckCounterProb = 0.0;
 
-    /** Per-read chance a whole window is lost. */
+    /** Per-epoch chance the sensor loses the epoch at every period. */
     double dropWindowProb = 0.0;
 
-    /** Per-read chance a window is cut short (partial collection). */
+    /** Per-window chance a window is cut short (partial collection). */
     double truncateWindowProb = 0.0;
 
     /** Surviving fraction of a truncated window. */
     double truncateFrac = 0.5;
 
     /**
-     * Per-read chance a sensor read fails transiently; such reads
-     * succeed when retried (the runtime's backoff path).
+     * Per-attempt chance a sensor read fails transiently; sense()
+     * retries such reads under its backoff policy.
      */
     double transientReadFailProb = 0.0;
-
-    /** Per-score chance any detector returns NaN. */
-    double scoreNanProb = 0.0;
-
-    /** Detectors whose scores are always NaN (hard failures). */
-    std::vector<std::size_t> brokenDetectors;
 
     /** Per-byte corruption rate for corruptText(). */
     double byteFlipRate = 0.0;
@@ -71,12 +69,27 @@ struct FaultConfig
     std::uint64_t seed = 1;
 };
 
-/** What happened to a sensor read of one window. */
+/** What happened to one window's content. */
 enum class WindowFault : std::uint8_t
 {
     None,
-    Dropped,
     Truncated,
+};
+
+/** What FaultInjector::sense() observed; accumulates across calls. */
+struct SenseReport
+{
+    /** Epochs in the clean streams. */
+    std::size_t epochs = 0;
+
+    /** Epochs lost to drops or to reads whose retries ran out. */
+    std::size_t dropped = 0;
+
+    /** Windows delivered truncated. */
+    std::size_t truncated = 0;
+
+    /** Read retries and the virtual backoff they waited. */
+    support::RetryStats retry;
 };
 
 /**
@@ -90,17 +103,32 @@ class FaultInjector
     explicit FaultInjector(const FaultConfig &config);
 
     /**
-     * Perturb one window in place (noise, quantization, stuck
-     * counter, truncation) and classify the read. A Dropped result
-     * means the window was lost and must not be classified.
+     * The sensor read of one program: the stream a faulty sensor
+     * delivers from @p prog's clean windows, for a pool whose epoch
+     * length is @p epoch. Each epoch is read once; a transient
+     * failure is retried under @p retry. A drop, or a read whose
+     * retries run out, loses the epoch at every period: its windows
+     * are left out, so later epochs move up and the shorter stream
+     * still lines up across periods. Every window of a surviving
+     * epoch, at every period dividing @p epoch, passes through
+     * perturbWindow(). Every period key of @p prog stays in the
+     * result, even when every epoch was lost; periods that do not
+     * divide @p epoch come back empty. Adds what it observed to
+     * @p report.
+     */
+    features::ProgramFeatures sense(const features::ProgramFeatures &prog,
+                                    std::uint32_t epoch,
+                                    const support::RetryPolicy &retry,
+                                    SenseReport &report);
+
+    /**
+     * Apply the per-window content faults in place (truncation,
+     * noise, quantization, stuck counter).
      */
     WindowFault perturbWindow(features::RawWindow &window);
 
     /** Roll the transient sensor-read failure. */
     bool transientReadFailure();
-
-    /** Perturb a detector score (NaN faults for broken detectors). */
-    double perturbScore(std::size_t detector, double score);
 
     /** Corrupt a serialized-model (or any) text buffer. */
     std::string corruptText(const std::string &text);
@@ -118,15 +146,6 @@ class FaultInjector
     static bool keyedFault(std::uint64_t seed, std::uint64_t key,
                            std::uint64_t epoch, std::uint64_t detector,
                            double prob);
-
-    /**
-     * A counter-read hook for uarch::PerfMonitor that applies the
-     * same noise/quantization/stuck-at model at the counter source,
-     * for experiments that inject faults during extraction rather
-     * than at the window level. The hook shares this injector's
-     * stuck-counter state.
-     */
-    uarch::CounterReadHook counterHook();
 
     const FaultConfig &config() const { return config_; }
 

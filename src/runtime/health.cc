@@ -17,8 +17,8 @@ namespace
 /**
  * Process-wide count of health transitions by kind. The monitor's
  * own event log is per-instance and unbounded; these four counters
- * are what a deployment watches. Driven by the runtime's seeded
- * fault stream, so Deterministic.
+ * are what a deployment watches. Driven by seeded fault streams, so
+ * Deterministic.
  */
 void
 countHealthEvent(HealthEvent::Kind kind)

@@ -66,8 +66,8 @@ constexpr std::size_t kMaxFailoverAttempts = 64;
  * burn its whole failure streak (@p pool_size * @p failure_threshold),
  * capped at kMaxFailoverAttempts so a "never quarantine" threshold
  * can neither overflow the product nor spin a broken pool through
- * millions of redraws. Both front ends (DetectionRuntime and
- * serve::DetectionService) apply it. @p pool_size must be positive.
+ * millions of redraws. serve::DetectionService applies it. @p
+ * pool_size must be positive.
  */
 std::size_t failoverBudget(std::size_t pool_size,
                            std::size_t failure_threshold);
@@ -94,9 +94,9 @@ std::string_view healthEventName(HealthEvent::Kind kind);
 
 /**
  * Tracks per-detector failure streaks and drives the
- * quarantine/probation/recovery state machine. The runtime calls
- * tick() once per epoch, reports score outcomes, and asks for the
- * effective (renormalized) switching policy.
+ * quarantine/probation/recovery state machine. The detection service
+ * calls tick() once per drained batch, reports score outcomes, and
+ * asks for the effective (renormalized) switching policy.
  */
 class HealthMonitor
 {

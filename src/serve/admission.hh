@@ -20,8 +20,8 @@
  *    breaker half-opens and lets a few probes through; probe success
  *    closes it, probe failure re-opens it with a longer cool-down.
  *    The cool-down schedule *is* `support::RetryPolicy` — the same
- *    exponential-backoff discipline the runtime uses for sensor
- *    retries, applied to the whole service.
+ *    exponential-backoff discipline FaultInjector::sense() uses for
+ *    sensor retries, applied to the whole service.
  *
  * All timing is virtual (seconds as doubles, supplied by the caller):
  * the service passes wall time, tests pass scripted instants, so the

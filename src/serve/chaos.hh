@@ -1,15 +1,16 @@
 /**
  * @file
- * Service-level chaos injection: the PR-1 fault machinery
- * (runtime/fault_injection) lifted to the serving layer.
+ * Service-level chaos injection: the fault machinery of
+ * runtime/fault_injection lifted to the serving layer.
  *
- * The runtime injects faults into sensor reads and model bytes; a
- * *service* additionally fails in ways only a queue and a worker pool
- * can — workers stall, batches are delayed, detectors fail
- * transiently under one request but not the next, and candidate
- * pools offered for promotion are garbage. ChaosInjector models all
- * of these as seeded perturbations so `bench_serve_chaos` can assert
- * the service's contracts *under* fault pressure, reproducibly
+ * runtime::FaultInjector injects faults into sensor reads and model
+ * bytes, upstream of the service; a *service* additionally fails in
+ * ways only a queue and a worker pool can — workers stall, batches
+ * are delayed, detectors fail transiently under one request but not
+ * the next, and candidate pools offered for promotion are garbage.
+ * ChaosInjector models all of these as seeded perturbations so
+ * `bench_serve_chaos` can assert the service's contracts *under*
+ * fault pressure, reproducibly
  * (cf. Stochastic-HMDs: deployed perturbation as a first-class
  * experimental knob, here pointed at the serving layer).
  *

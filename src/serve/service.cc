@@ -478,9 +478,9 @@ DetectionService::processBatch(std::vector<Request> &batch)
 
     // Phase 3 — failover: redraw each failed slot from its own
     // (key, epoch)-derived stream (order-independent) against the
-    // current effective policy, up to the same attempt budget the
-    // runtime uses (hard-capped; see failoverBudget). A slot that
-    // exhausts the budget stays unclassified.
+    // current effective policy, up to the hard-capped attempt budget
+    // (see failoverBudget). A slot that exhausts the budget stays
+    // unclassified.
     const std::size_t max_attempts = runtime::failoverBudget(
         pool.poolSize(), config_.health.failureThreshold);
     for (const core::EpochPlan::Slot &f : failed) {

@@ -10,8 +10,10 @@
  * bounded multi-producer queue admits requests, worker threads drain
  * them in batches, each batch is scored through the pool's batch APIs
  * (Hmd::scoreWindows grouped per selected detector), and invalid
- * scores feed the HealthMonitor exactly as in DetectionRuntime, with
- * failover redraws and quarantine-aware policy renormalization.
+ * scores feed the HealthMonitor, with failover redraws and
+ * quarantine-aware policy renormalization. It is the only deployment
+ * front end: a faulty sensor path is modelled upstream of it, by
+ * submitting the stream runtime::FaultInjector::sense() delivers.
  *
  * The pool is no longer a borrowed reference pinned for the service's
  * lifetime: a serve::PoolManager publishes versioned snapshots, each

@@ -449,8 +449,11 @@ RunManifest::toJson() const
     out += "\"config\": {";
     for (std::size_t i = 0; i < config.size(); ++i) {
         out += i > 0 ? ", " : "";
-        out += "\"" + jsonEscape(config[i].first) + "\": \"" +
-               jsonEscape(config[i].second) + "\"";
+        out += '"';
+        out += jsonEscape(config[i].first);
+        out += "\": \"";
+        out += jsonEscape(config[i].second);
+        out += '"';
     }
     out += "}}";
     return out;

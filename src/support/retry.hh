@@ -3,8 +3,9 @@
  * Retry-with-backoff for transiently failing operations.
  *
  * Sensor reads in a deployed HMD fail transiently (bus contention,
- * counter-read races); the runtime retries them under an exponential
- * backoff budget instead of losing the window outright. Backoff time
+ * counter-read races); runtime::FaultInjector::sense() retries them
+ * under an exponential backoff budget instead of losing the epoch
+ * outright. Backoff time
  * is virtual (accumulated in "units", e.g. microseconds of modelled
  * wait) so tests and the simulator stay deterministic and fast; a
  * real deployment would install a sleeper callback.

@@ -6,9 +6,9 @@
  * programming errors and unsatisfiable configuration, but a deployed
  * detector cannot exit(1) because a sensor glitched or a model file
  * arrived corrupt. Paths on the deployment data plane (model loading,
- * sensor reads, policy validation, the runtime) return Status /
- * StatusOr<T> instead, so callers decide whether to retry, degrade,
- * or abort.
+ * sensor reads, policy validation, the detection service) return
+ * Status / StatusOr<T> instead, so callers decide whether to retry,
+ * degrade, or abort.
  */
 
 #ifndef RHMD_SUPPORT_STATUS_HH

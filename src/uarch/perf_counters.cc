@@ -123,15 +123,6 @@ PerfMonitor::step(const trace::DynInst &inst)
     return outcome;
 }
 
-EventCounts
-PerfMonitor::read() const
-{
-    EventCounts snapshot = counts_;
-    if (readHook_)
-        readHook_(snapshot);
-    return snapshot;
-}
-
 void
 PerfMonitor::reset()
 {

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string_view>
 
 #include "trace/execution.hh"
@@ -50,10 +49,10 @@ std::string_view eventName(Event event);
 using EventCounts = std::array<std::uint64_t, kNumEvents>;
 
 /**
- * out[e] = cumulative[e] - base[e], saturating at zero. A noisy
- * sensor read can report fewer events than the previous snapshot; a
- * real counter delta never goes negative, so clamp instead of
- * wrapping (the window-boundary rule in FeatureSession).
+ * out[e] = cumulative[e] - base[e], saturating at zero. A real
+ * counter delta never goes negative, so a snapshot below the previous
+ * one clamps instead of wrapping (the window-boundary rule in
+ * FeatureSession).
  */
 void saturatingDelta(const EventCounts &cumulative,
                      const EventCounts &base, EventCounts &out);
@@ -66,14 +65,6 @@ void saturatingDelta(const EventCounts &cumulative,
  * independent per-event divides are vectorized.
  */
 void eventRates(const EventCounts &counts, double insts, double *out);
-
-/**
- * Mutating hook applied to every counter read on the sensor path.
- * The fault-injection layer (src/runtime/) installs hooks that model
- * hardware-induced read noise, quantized counters, and stuck-at
- * faults; production reads leave the hook empty.
- */
-using CounterReadHook = std::function<void(EventCounts &)>;
 
 /** Per-instruction microarchitectural outcome (feeds the CPI model). */
 struct StepOutcome
@@ -110,20 +101,6 @@ class PerfMonitor
     /** Current window's counters, as maintained internally. */
     const EventCounts &counts() const { return counts_; }
 
-    /**
-     * Counter snapshot as the sensor path observes it: the raw
-     * counts passed through the read hook when one is installed.
-     * This is what the feature extractor consumes, so an installed
-     * fault model perturbs every downstream feature window.
-     */
-    EventCounts read() const;
-
-    /** Install (or clear, with {}) the counter-read fault hook. */
-    void setReadHook(CounterReadHook hook)
-    {
-        readHook_ = std::move(hook);
-    }
-
     /** Zero the window counters (structural state persists). */
     void clearCounts() { counts_.fill(0); }
 
@@ -139,7 +116,6 @@ class PerfMonitor
     BimodalPredictor bimodal_;
     GsharePredictor gshare_;
     EventCounts counts_{};
-    CounterReadHook readHook_;
 };
 
 } // namespace rhmd::uarch

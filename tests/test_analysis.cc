@@ -4,8 +4,8 @@
  * (liveness, reaching definitions, def-use chains) on handcrafted
  * CFGs with known solutions, the CFG verifier's accept and reject
  * paths, the semantic-preservation checker (paper-mode payloads pass,
- * a clobbering mutation is rejected), the injection gate, and the
- * runtime admission check.
+ * a clobbering mutation is rejected), the injection gate, and
+ * admission of untrusted programs.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +19,6 @@
 #include "analysis/verifier.hh"
 #include "core/evasion.hh"
 #include "core/experiment.hh"
-#include "core/rhmd.hh"
-#include "runtime/runtime.hh"
 #include "trace/dcfg.hh"
 #include "trace/execution.hh"
 #include "trace/generator.hh"
@@ -695,9 +693,9 @@ TEST(EvasionAudit, GateCountersSurfaceThroughEvadeRewrite)
     EXPECT_TRUE(verifyProgram(modified).clean());
 }
 
-// --- runtime admission ---------------------------------------------
+// --- admission ------------------------------------------------------
 
-TEST(RuntimeAdmission, AcceptsVerifiedRejectsClobbered)
+TEST(Admission, AcceptsVerifiedRejectsClobbered)
 {
     core::ExperimentConfig config;
     config.benignCount = 8;
@@ -706,14 +704,8 @@ TEST(RuntimeAdmission, AcceptsVerifiedRejectsClobbered)
     config.traceInsts = 30000;
     config.seed = 5;
     const core::Experiment exp = core::Experiment::build(config);
-    std::vector<features::FeatureSpec> specs(1);
-    specs[0].kind = features::FeatureKind::Instructions;
-    specs[0].period = 10000;
-    const auto pool = core::buildRhmd("LR", specs, exp.corpus(),
-                                      exp.split().victimTrain, 16, 5);
-    runtime::DetectionRuntime rt(*pool, {});
 
-    EXPECT_TRUE(rt.admitProgram(exp.programs().front()).isOk());
+    EXPECT_TRUE(verifyProgram(exp.programs().front()).clean());
 
     trace::Program clobbered = exp.programs().front();
     trace::StaticInst payload = trace::makePayloadInst(OpClass::IntSub);
@@ -721,13 +713,15 @@ TEST(RuntimeAdmission, AcceptsVerifiedRejectsClobbered)
     // terminator, so writing it there is a clobber.
     payload.dst = trace::kRegRet;
     clobbered.functions[0].blocks.back().body.push_back(payload);
-    const support::Status status = rt.admitProgram(clobbered);
-    EXPECT_FALSE(status.isOk());
-    EXPECT_EQ(status.code(), support::StatusCode::InvalidArgument);
-    EXPECT_NE(status.message().find("preservation"), std::string::npos);
-
-    EXPECT_EQ(rt.admittedPrograms(), 1u);
-    EXPECT_EQ(rt.rejectedPrograms(), 1u);
+    const Report report = verifyProgram(clobbered);
+    EXPECT_FALSE(report.clean());
+    const auto error = std::find_if(
+        report.findings().begin(), report.findings().end(),
+        [](const Finding &finding) {
+            return finding.severity == Severity::Error;
+        });
+    ASSERT_NE(error, report.findings().end());
+    EXPECT_EQ(error->pass, "preservation");
 }
 
 } // namespace

@@ -1,18 +1,20 @@
 /**
  * @file
- * Tests of the fault-tolerant deployment runtime: fault injection,
- * detector health monitoring, and graceful degradation of the pool.
+ * Tests of the deployment fault layer: detector health monitoring,
+ * per-window fault injection, and the faulty sensor read
+ * (FaultInjector::sense) whose streams are served through
+ * serve::DetectionService.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <bit>
 
 #include "core/experiment.hh"
 #include "core/rhmd.hh"
 #include "runtime/fault_injection.hh"
 #include "runtime/health.hh"
-#include "runtime/runtime.hh"
+#include "serve/service.hh"
 #include "uarch/perf_counters.hh"
 
 namespace
@@ -49,19 +51,6 @@ threeDetectorPool(std::uint64_t seed = 5)
     specs[2].period = 5000;
     return core::buildRhmd("LR", specs, exp.corpus(),
                            exp.split().victimTrain, 16, seed);
-}
-
-std::unique_ptr<core::Rhmd>
-twoDetectorPool()
-{
-    const core::Experiment &exp = sharedExperiment();
-    std::vector<features::FeatureSpec> specs(2);
-    specs[0].kind = features::FeatureKind::Instructions;
-    specs[0].period = 10000;
-    specs[1].kind = features::FeatureKind::Memory;
-    specs[1].period = 10000;
-    return core::buildRhmd("LR", specs, exp.corpus(),
-                           exp.split().victimTrain, 16, 5);
 }
 
 features::RawWindow
@@ -187,7 +176,6 @@ TEST(FaultInjector, SameSeedSameFaults)
 {
     FaultConfig config;
     config.counterNoiseSigma = 0.2;
-    config.dropWindowProb = 0.2;
     config.truncateWindowProb = 0.2;
     config.seed = 99;
 
@@ -211,7 +199,6 @@ TEST(FaultInjector, NoFaultConfigIsIdentity)
     EXPECT_EQ(window.events, original.events);
     EXPECT_EQ(window.opcodeCounts, original.opcodeCounts);
     EXPECT_FALSE(injector.transientReadFailure());
-    EXPECT_DOUBLE_EQ(injector.perturbScore(0, 0.7), 0.7);
 }
 
 TEST(FaultInjector, TruncationScalesTheWindow)
@@ -225,6 +212,16 @@ TEST(FaultInjector, TruncationScalesTheWindow)
     EXPECT_EQ(window.instCount, 5000u);
     EXPECT_EQ(window.events[0], 50u);
     EXPECT_EQ(window.opcodeCounts[0], 50u);
+
+    // sense() counts every truncated window it delivers, at every
+    // period.
+    const auto &prog = sharedExperiment().corpus().programs[0];
+    SenseReport report;
+    const features::ProgramFeatures sensed =
+        injector.sense(prog, 10000, support::RetryPolicy{}, report);
+    EXPECT_EQ(report.truncated,
+              sensed.windows(5000).size() + sensed.windows(10000).size());
+    EXPECT_EQ(sensed.windows(10000).size(), prog.windows(10000).size());
 }
 
 TEST(FaultInjector, StuckCounterFreezesOneEvent)
@@ -245,268 +242,221 @@ TEST(FaultInjector, StuckCounterFreezesOneEvent)
     EXPECT_EQ(frozen, 1u);
 }
 
-TEST(FaultInjector, BrokenDetectorScoresNan)
+// --- FaultInjector::sense -----------------------------------------
+
+/** Field-by-field, bit-exact window equality. */
+bool
+sameBits(const features::RawWindow &a, const features::RawWindow &b)
 {
-    FaultConfig config;
-    config.brokenDetectors = {1};
-    FaultInjector injector(config);
-    EXPECT_DOUBLE_EQ(injector.perturbScore(0, 0.4), 0.4);
-    EXPECT_TRUE(std::isnan(injector.perturbScore(1, 0.4)));
+    return a.opcodeCounts == b.opcodeCounts &&
+           a.memDeltaBins == b.memDeltaBins && a.events == b.events &&
+           a.instCount == b.instCount &&
+           std::bit_cast<std::uint64_t>(a.cycles) ==
+               std::bit_cast<std::uint64_t>(b.cycles) &&
+           std::bit_cast<std::uint64_t>(a.injectedFrac) ==
+               std::bit_cast<std::uint64_t>(b.injectedFrac) &&
+           a.truncated == b.truncated;
 }
 
-TEST(FaultInjector, CounterHookPerturbsMonitorReads)
+/**
+ * The clean epochs of @p clean whose epoch-length window appears in
+ * @p sensed, matched in order; size() < sensed's epoch count when
+ * @p sensed is not a subsequence of @p clean.
+ */
+std::vector<std::size_t>
+survivingEpochs(const features::ProgramFeatures &clean,
+                const features::ProgramFeatures &sensed,
+                std::uint32_t epoch)
 {
-    FaultConfig config;
-    config.quantizeStep = 8;
-    FaultInjector injector(config);
-
-    uarch::PerfMonitor monitor;
-    monitor.setReadHook(injector.counterHook());
-    // No instructions stepped: raw counters are zero, and the
-    // quantization hook keeps them zero.
-    const uarch::EventCounts zeroes = monitor.read();
-    for (std::uint64_t c : zeroes)
-        EXPECT_EQ(c, 0u);
-
-    // The hook is also directly applicable to a counter snapshot.
-    uarch::EventCounts counts;
-    counts.fill(13);
-    injector.counterHook()(counts);
-    for (std::uint64_t c : counts)
-        EXPECT_EQ(c, 8u);
-}
-
-// --- DetectionRuntime ----------------------------------------------
-
-TEST(Runtime, CleanRunClassifiesEveryEpoch)
-{
-    auto pool = threeDetectorPool();
-    DetectionRuntime runtime(*pool, RuntimeConfig{});
-    const auto &prog = sharedExperiment().corpus().programs[0];
-    auto report = runtime.processProgram(prog);
-    ASSERT_TRUE(report.isOk());
-    EXPECT_EQ(report->epochs, prog.windows(10000).size());
-    EXPECT_EQ(report->classified, report->epochs);
-    EXPECT_EQ(report->dropped, 0u);
-    EXPECT_EQ(report->detectorFailures, 0u);
-    for (std::size_t i = 0; i < pool->poolSize(); ++i)
-        EXPECT_EQ(runtime.health().health(i), DetectorHealth::Healthy);
-}
-
-TEST(Runtime, CleanRuntimeAgreesWithPoolAccuracy)
-{
-    const core::Experiment &exp = sharedExperiment();
-    auto pool = threeDetectorPool();
-    DetectionRuntime runtime(*pool, RuntimeConfig{});
-
-    std::vector<const features::ProgramFeatures *> malware;
-    for (std::size_t idx : exp.malwareOf(exp.split().attackerTest))
-        malware.push_back(&exp.corpus().programs[idx]);
-    std::vector<const features::ProgramFeatures *> benign;
-    for (std::size_t idx : exp.benignOf(exp.split().attackerTest))
-        benign.push_back(&exp.corpus().programs[idx]);
-
-    const double sens = runtime.detectionRate(malware);
-    const double fpr = runtime.detectionRate(benign);
-    EXPECT_GT(sens, fpr + 0.2);
-}
-
-TEST(Runtime, DroppedWindowsSkipEpochsWithoutAborting)
-{
-    auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    config.faults.dropWindowProb = 0.5;
-    config.faults.seed = 11;
-    DetectionRuntime runtime(*pool, config);
-
-    std::size_t classified = 0;
-    std::size_t dropped = 0;
-    std::size_t epochs = 0;
-    for (std::size_t i = 0; i < 10; ++i) {
-        const auto &prog = sharedExperiment().corpus().programs[i];
-        auto report = runtime.processProgram(prog);
-        if (!report.isOk())
-            continue;  // every window of one program can drop
-        classified += report->classified;
-        dropped += report->dropped;
-        epochs += report->epochs;
+    const auto &all = clean.windows(epoch);
+    const auto &kept = sensed.windows(epoch);
+    std::vector<std::size_t> out;
+    for (std::size_t e = 0; e < all.size() && out.size() < kept.size();
+         ++e) {
+        if (sameBits(all[e], kept[out.size()]))
+            out.push_back(e);
     }
-    EXPECT_GT(dropped, 0u);
-    EXPECT_GT(classified, 0u);
-    EXPECT_EQ(classified + dropped, epochs);
+    return out;
 }
 
-TEST(Runtime, BrokenDetectorIsQuarantinedAndPoolDegrades)
+serve::ServeConfig
+serialService()
+{
+    serve::ServeConfig sc;
+    sc.workers = 1;
+    return sc;
+}
+
+TEST(Sense, DropsRemoveWholeEpochsAtEveryPeriod)
 {
     auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    config.health.failureThreshold = 3;
-    config.health.quarantineEpochs = 1000000;  // no probation here
-    config.faults.brokenDetectors = {0};
-    DetectionRuntime runtime(*pool, config);
+    const std::uint32_t epoch = pool->decisionPeriod();
+    FaultConfig config;
+    config.dropWindowProb = 0.5;
+    config.seed = 11;
+    FaultInjector sensor(config);
+    serve::DetectionService service(*pool, serialService());
 
-    const auto &corpus = sharedExperiment().corpus();
+    const auto &programs = sharedExperiment().corpus().programs;
+    SenseReport report;
     std::size_t classified = 0;
     for (std::size_t i = 0; i < 10; ++i) {
-        auto report = runtime.processProgram(corpus.programs[i]);
-        ASSERT_TRUE(report.isOk());
-        classified += report->classified;
-        // Failover: every epoch still produces a decision.
-        EXPECT_EQ(report->classified, report->epochs);
+        const features::ProgramFeatures &prog = programs[i];
+        const std::size_t dropped_before = report.dropped;
+        const features::ProgramFeatures sensed = sensor.sense(
+            prog, epoch, support::RetryPolicy{}, report);
+        ASSERT_EQ(sensed.byPeriod.size(), prog.byPeriod.size());
+
+        // At every period the sensed stream is the clean windows of
+        // the surviving epochs, in order, bit for bit.
+        const std::vector<std::size_t> survivors =
+            survivingEpochs(prog, sensed, epoch);
+        ASSERT_EQ(survivors.size(), sensed.windows(epoch).size());
+        EXPECT_EQ(survivors.size() + report.dropped - dropped_before,
+                  prog.windows(epoch).size());
+        for (const auto &[period, clean] : prog.byPeriod) {
+            const std::size_t per_epoch = epoch / period;
+            const auto &got = sensed.windows(period);
+            ASSERT_EQ(got.size(), survivors.size() * per_epoch)
+                << "period " << period;
+            std::size_t w = 0;
+            for (std::size_t e : survivors) {
+                for (std::size_t k = 0; k < per_epoch; ++k, ++w)
+                    EXPECT_TRUE(
+                        sameBits(got[w], clean[e * per_epoch + k]))
+                        << "period " << period << " epoch " << e;
+            }
+        }
+
+        const auto answer = service.submit(sensed, i).get();
+        if (answer.isOk())
+            classified += answer->classified;
+        else
+            EXPECT_TRUE(survivors.empty());  // every epoch dropped
     }
+    EXPECT_GT(report.dropped, 0u);
     EXPECT_GT(classified, 0u);
-    EXPECT_EQ(runtime.health().health(0), DetectorHealth::Quarantined);
-    EXPECT_EQ(runtime.health().health(1), DetectorHealth::Healthy);
-    EXPECT_EQ(runtime.health().health(2), DetectorHealth::Healthy);
-
-    // The log shows the failure streak and the quarantine.
-    bool sawQuarantine = false;
-    for (const auto &event : runtime.health().events())
-        sawQuarantine |= event.kind == HealthEvent::Kind::Quarantine;
-    EXPECT_TRUE(sawQuarantine);
-
-    // After quarantine the broken detector stops being selected:
-    // its selection count stays near the failure threshold.
-    EXPECT_LT(runtime.selectionCounts()[0],
-              runtime.selectionCounts()[1] / 2 + 10);
+    EXPECT_EQ(classified + report.dropped, report.epochs);
 }
 
-TEST(Runtime, WholePoolFailureIsAnErrorNotAnAbort)
+TEST(Sense, TransientReadsAreRetried)
 {
     auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    config.health.failureThreshold = 1;
-    config.health.quarantineEpochs = 1000000;
-    config.faults.brokenDetectors = {0, 1, 2};
-    DetectionRuntime runtime(*pool, config);
+    FaultConfig config;
+    config.transientReadFailProb = 0.4;
+    config.seed = 21;
+    support::RetryPolicy retry;
+    retry.maxAttempts = 6;
+    FaultInjector sensor(config);
+    serve::DetectionService service(*pool, serialService());
 
-    const auto &prog = sharedExperiment().corpus().programs[0];
-    auto report = runtime.processProgram(prog);
-    ASSERT_FALSE(report.isOk());
-    EXPECT_EQ(report.status().code(),
-              support::StatusCode::Unavailable);
-    EXPECT_EQ(runtime.health().quarantinedCount(), 3u);
-    EXPECT_EQ(runtime.failedPrograms(), 1u);
-}
-
-TEST(Runtime, NeverQuarantineThresholdStillClassifiesEveryEpoch)
-{
-    // pool size * threshold wraps to 0 in 64-bit arithmetic; the
-    // capped failover budget must still allow every epoch its draw.
-    auto pool = twoDetectorPool();
-    RuntimeConfig config;
-    config.health.failureThreshold = std::size_t{1} << 63;
-    DetectionRuntime runtime(*pool, config);
-
-    const auto &prog = sharedExperiment().corpus().programs[0];
-    auto report = runtime.processProgram(prog);
-    ASSERT_TRUE(report.isOk()) << report.status().toString();
-    EXPECT_EQ(report->classified, report->epochs);
-    EXPECT_EQ(report->detectorFailures, 0u);
-}
-
-TEST(Runtime, BrokenPoolRedrawsAreCappedPerEpoch)
-{
-    // A threshold no epoch can reach never quarantines, so a fully
-    // broken pool redraws each epoch until the capped budget runs out
-    // instead of pool size * threshold times.
-    auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    config.health.failureThreshold = 1u << 12;
-    config.faults.brokenDetectors = {0, 1, 2};
-    DetectionRuntime runtime(*pool, config);
-
-    const auto &prog = sharedExperiment().corpus().programs[0];
-    auto report = runtime.processProgram(prog);
-    ASSERT_FALSE(report.isOk());
-    EXPECT_EQ(report.status().code(),
-              support::StatusCode::Unavailable);
-    std::size_t failures = 0;
-    for (std::size_t i = 0; i < pool->poolSize(); ++i)
-        failures += runtime.health().failureCount(i);
-    EXPECT_EQ(failures,
-              kMaxFailoverAttempts * prog.windows(10000).size());
-    EXPECT_EQ(runtime.health().quarantinedCount(), 0u);
-}
-
-TEST(Runtime, TransientSensorFailuresAreRetried)
-{
-    auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    config.faults.transientReadFailProb = 0.4;
-    config.faults.seed = 21;
-    config.sensorRetry.maxAttempts = 6;
-    DetectionRuntime runtime(*pool, config);
-
-    const auto &corpus = sharedExperiment().corpus();
+    const auto &programs = sharedExperiment().corpus().programs;
+    SenseReport report;
     std::size_t classified = 0;
-    std::size_t retries = 0;
-    std::size_t epochs = 0;
     for (std::size_t i = 0; i < 5; ++i) {
-        auto report = runtime.processProgram(corpus.programs[i]);
-        ASSERT_TRUE(report.isOk());
-        classified += report->classified;
-        retries += report->sensorRetries;
-        epochs += report->epochs;
+        const features::ProgramFeatures sensed = sensor.sense(
+            programs[i], pool->decisionPeriod(), retry, report);
+        const auto answer = service.submit(sensed, i).get();
+        ASSERT_TRUE(answer.isOk()) << answer.status().toString();
+        classified += answer->classified;
     }
-    EXPECT_GT(retries, 0u);
+    EXPECT_GT(report.retry.retries, 0u);
+    EXPECT_GT(report.retry.backoffSpent, 0.0);
+    EXPECT_EQ(classified + report.dropped, report.epochs);
     // With 6 attempts at p=0.4 a read fails outright only 0.4% of
-    // the time, so nearly every epoch classifies.
-    EXPECT_GE(classified * 100, epochs * 95);
+    // the time, so nearly every epoch survives.
+    EXPECT_GE((report.epochs - report.dropped) * 100, report.epochs * 95);
 }
 
-TEST(Runtime, ExhaustedRetriesLoseTheEpoch)
+TEST(Sense, ExhaustedRetriesLoseEveryEpochWithoutPanicking)
 {
     auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    config.faults.transientReadFailProb = 1.0;
-    config.sensorRetry.maxAttempts = 3;
-    DetectionRuntime runtime(*pool, config);
+    FaultConfig config;
+    config.transientReadFailProb = 1.0;
+    support::RetryPolicy retry;
+    retry.maxAttempts = 3;
+    FaultInjector sensor(config);
 
     const auto &prog = sharedExperiment().corpus().programs[0];
-    auto report = runtime.processProgram(prog);
-    ASSERT_FALSE(report.isOk());
-    EXPECT_EQ(report.status().code(),
-              support::StatusCode::Unavailable);
+    SenseReport report;
+    const features::ProgramFeatures sensed =
+        sensor.sense(prog, pool->decisionPeriod(), retry, report);
+    EXPECT_EQ(report.epochs, prog.windows(pool->decisionPeriod()).size());
+    EXPECT_EQ(report.dropped, report.epochs);
+    EXPECT_EQ(report.retry.retries, 2 * report.epochs);
+    // Every period key stays, empty, so the service can answer.
+    ASSERT_EQ(sensed.byPeriod.size(), prog.byPeriod.size());
+    for (const auto &entry : sensed.byPeriod)
+        EXPECT_TRUE(entry.second.empty());
+
+    serve::DetectionService service(*pool, serialService());
+    const auto answer = service.submit(sensed, 0).get();
+    ASSERT_FALSE(answer.isOk());
+    EXPECT_EQ(answer.status().code(), support::StatusCode::Unavailable);
+    EXPECT_NE(answer.status().message().find("could be classified"),
+              std::string::npos);
 }
 
-TEST(Runtime, NoisyWindowsStillClassify)
+TEST(Sense, NoisyWindowsStillClassifyEveryEpoch)
 {
     auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    config.faults.counterNoiseSigma = 0.1;
-    config.faults.quantizeStep = 4;
-    config.faults.seed = 31;
-    DetectionRuntime runtime(*pool, config);
+    FaultConfig config;
+    config.counterNoiseSigma = 0.1;
+    config.quantizeStep = 4;
+    config.seed = 31;
+    FaultInjector sensor(config);
+    serve::DetectionService service(*pool, serialService());
 
-    const auto &corpus = sharedExperiment().corpus();
+    const auto &programs = sharedExperiment().corpus().programs;
+    SenseReport report;
     for (std::size_t i = 0; i < 5; ++i) {
-        auto report = runtime.processProgram(corpus.programs[i]);
-        ASSERT_TRUE(report.isOk());
-        EXPECT_EQ(report->classified, report->epochs);
-        EXPECT_EQ(report->detectorFailures, 0u);
+        const features::ProgramFeatures sensed = sensor.sense(
+            programs[i], pool->decisionPeriod(), support::RetryPolicy{},
+            report);
+        const auto answer = service.submit(sensed, i).get();
+        ASSERT_TRUE(answer.isOk()) << answer.status().toString();
+        EXPECT_EQ(answer->epochs,
+                  programs[i].windows(pool->decisionPeriod()).size());
+        EXPECT_EQ(answer->classified, answer->epochs);
+        EXPECT_EQ(answer->detectorFailures, 0u);
     }
+    EXPECT_EQ(report.dropped, 0u);
 }
 
-TEST(Runtime, DetectionRateCountsFailedProgramsAsNotDetected)
+TEST(Sense, CleanPoolSeparatesClassesThroughService)
 {
-    auto pool = threeDetectorPool();
-    RuntimeConfig config;
-    // Every sensor read fails permanently: every program's run ends
-    // in an error, and the fail-open aggregate must report them as
-    // not-detected instead of aborting or skipping them silently.
-    config.faults.transientReadFailProb = 1.0;
-    config.sensorRetry.maxAttempts = 2;
-    DetectionRuntime runtime(*pool, config);
-
     const core::Experiment &exp = sharedExperiment();
-    std::vector<const features::ProgramFeatures *> malware;
-    for (std::size_t idx : exp.malwareOf(exp.split().attackerTest))
-        malware.push_back(&exp.corpus().programs[idx]);
-    ASSERT_FALSE(malware.empty());
+    auto pool = threeDetectorPool();
+    FaultInjector sensor(FaultConfig{});
+    serve::DetectionService service(*pool, serialService());
 
-    EXPECT_DOUBLE_EQ(runtime.detectionRate(malware), 0.0);
-    EXPECT_EQ(runtime.failedPrograms(), malware.size());
+    std::uint64_t key = 0;
+    SenseReport report;
+    const auto rate = [&](const std::vector<std::size_t> &indices) {
+        std::size_t detected = 0;
+        for (std::size_t idx : indices) {
+            const features::ProgramFeatures &prog =
+                exp.corpus().programs[idx];
+            const features::ProgramFeatures sensed = sensor.sense(
+                prog, pool->decisionPeriod(), support::RetryPolicy{},
+                report);
+            // A fault-free sensor delivers the clean stream.
+            EXPECT_EQ(survivingEpochs(prog, sensed, pool->decisionPeriod())
+                          .size(),
+                      prog.windows(pool->decisionPeriod()).size());
+            const auto answer = service.submit(sensed, key++).get();
+            EXPECT_TRUE(answer.isOk()) << answer.status().toString();
+            if (answer.isOk() && answer->programDecision == 1)
+                ++detected;
+        }
+        return static_cast<double>(detected) /
+               static_cast<double>(indices.size());
+    };
+    const double sens = rate(exp.malwareOf(exp.split().attackerTest));
+    const double fpr = rate(exp.benignOf(exp.split().attackerTest));
+    EXPECT_GT(sens, fpr + 0.2);
+    EXPECT_EQ(report.dropped, 0u);
+    EXPECT_EQ(report.truncated, 0u);
 }
 
 // --- Recoverable Rhmd construction ---------------------------------

@@ -2,8 +2,9 @@
  * @file
  * Tests of the serving robustness layer: zero-downtime pool hot-swap
  * (versioned snapshots, PAC-gated promotion), admission control
- * (token buckets, fair share, circuit breaker), fail-open/fail-closed
- * degradation, and keyed-deterministic chaos injection.
+ * (token buckets, fair share, circuit breaker), degradation under
+ * failing detectors (quarantine, the capped failover budget,
+ * fail-open/fail-closed), and keyed-deterministic chaos injection.
  *
  * The central contract under test is the determinism domain of
  * DESIGN.md section 12: an admitted request's decisions are a pure
@@ -18,6 +19,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -77,6 +79,19 @@ singleDetectorPool()
     std::vector<features::FeatureSpec> specs(1);
     specs[0].kind = features::FeatureKind::Instructions;
     specs[0].period = 10000;
+    return core::buildRhmd("LR", specs, exp.corpus(),
+                           exp.split().victimTrain, 16, 5);
+}
+
+std::shared_ptr<const core::Rhmd>
+twoDetectorPool()
+{
+    const core::Experiment &exp = sharedExperiment();
+    std::vector<features::FeatureSpec> specs(2);
+    specs[0].kind = features::FeatureKind::Instructions;
+    specs[0].period = 10000;
+    specs[1].kind = features::FeatureKind::Memory;
+    specs[1].period = 10000;
     return core::buildRhmd("LR", specs, exp.corpus(),
                            exp.split().victimTrain, 16, 5);
 }
@@ -667,6 +682,148 @@ TEST(ServeDegrade, SwapRestoresServiceAfterFullQuarantine)
     const runtime::HealthMonitor fresh = service.healthSnapshot();
     EXPECT_EQ(fresh.quarantinedCount(), 0u);
     EXPECT_EQ(fresh.availableCount(), 3u);
+}
+
+TEST(ServeDegrade, BrokenDetectorIsQuarantinedAndPoolDegrades)
+{
+    const auto &programs = sharedExperiment().corpus().programs;
+    ServeConfig sc;
+    sc.workers = 1;
+    sc.health.failureThreshold = 3;
+    sc.health.quarantineEpochs = 1u << 20;  // no probation here
+    sc.chaos.enabled = true;
+    sc.chaos.brokenDetectors = {0};
+    DetectionService service(threeDetectorPool(), sc);
+
+    // Detector 0's failure count at the first answer that saw it
+    // quarantined; once quarantined it is never drawn again.
+    std::optional<std::size_t> quarantined_failures;
+    for (std::size_t i = 0; i < 10; ++i) {
+        const auto report = service.submit(programs[i], i).get();
+        ASSERT_TRUE(report.isOk()) << report.status().toString();
+        // Failover: every epoch still produces a decision.
+        EXPECT_EQ(report->classified, report->epochs);
+        const runtime::HealthMonitor health = service.healthSnapshot();
+        if (health.health(0) != runtime::DetectorHealth::Quarantined)
+            continue;
+        if (!quarantined_failures)
+            quarantined_failures = health.failureCount(0);
+        EXPECT_EQ(health.failureCount(0), *quarantined_failures)
+            << "program " << i;
+    }
+    service.stop();
+
+    const runtime::HealthMonitor &health = service.health();
+    ASSERT_TRUE(quarantined_failures.has_value());
+    EXPECT_EQ(health.health(0), runtime::DetectorHealth::Quarantined);
+    EXPECT_EQ(health.health(1), runtime::DetectorHealth::Healthy);
+    EXPECT_EQ(health.health(2), runtime::DetectorHealth::Healthy);
+    bool saw_quarantine = false;
+    for (const auto &event : health.events())
+        saw_quarantine |=
+            event.kind == runtime::HealthEvent::Kind::Quarantine;
+    EXPECT_TRUE(saw_quarantine);
+}
+
+TEST(ServeDegrade, FailoverSkipsADetectorQuarantinedMidBatch)
+{
+    // One failure quarantines. Every slot the plan gives detector 0
+    // fails in the score phase and quarantines it; their failover
+    // redraws then run against the renormalized policy, so none of
+    // them may land on detector 0 again.
+    ServeConfig sc;
+    sc.workers = 1;
+    sc.health.failureThreshold = 1;
+    sc.health.quarantineEpochs = 1u << 20;
+    sc.chaos.enabled = true;
+    sc.chaos.brokenDetectors = {0};
+    const auto pool = threeDetectorPool();
+    const auto &prog = sharedExperiment().corpus().programs[0];
+
+    // The first key whose plan against the healthy pool gives
+    // detector 0 at least four epochs.
+    std::size_t planned = 0;
+    std::uint64_t key = 0;
+    for (; key < 256; ++key) {
+        Rng switching = SplitRng(sc.seed).at(key);
+        planned = 0;
+        for (std::size_t e = 0; e < prog.windows(10000).size(); ++e)
+            planned += switching.weightedIndex(pool->policy()) == 0 ? 1 : 0;
+        if (planned >= 4)
+            break;
+    }
+    ASSERT_GE(planned, 4u);
+
+    DetectionService service(pool, sc);
+    const auto report = service.submit(prog, key).get();
+    ASSERT_TRUE(report.isOk()) << report.status().toString();
+    EXPECT_EQ(report->classified, report->epochs);
+    EXPECT_EQ(report->detectorFailures, planned);
+    service.stop();
+    EXPECT_EQ(service.health().failureCount(0), planned);
+    EXPECT_EQ(service.health().health(0),
+              runtime::DetectorHealth::Quarantined);
+}
+
+TEST(ServeDegrade, NeverQuarantineThresholdStillClassifiesEveryEpoch)
+{
+    // pool size * threshold wraps to 0 in 64-bit arithmetic; the
+    // capped failover budget must still give failed epochs redraws.
+    const auto &programs = sharedExperiment().corpus().programs;
+    ServeConfig sc;
+    sc.workers = 1;
+    sc.health.failureThreshold = std::size_t{1} << 63;
+    {
+        DetectionService service(twoDetectorPool(), sc);
+        const auto report = service.submit(programs[0], 0).get();
+        ASSERT_TRUE(report.isOk()) << report.status().toString();
+        EXPECT_EQ(report->classified, report->epochs);
+        EXPECT_EQ(report->detectorFailures, 0u);
+    }
+
+    // The same threshold with one broken detector: every epoch drawn
+    // to it fails over to the other, which a zero budget would lose.
+    sc.chaos.enabled = true;
+    sc.chaos.brokenDetectors = {0};
+    DetectionService service(twoDetectorPool(), sc);
+    std::size_t failures = 0;
+    for (std::size_t i = 0; i < 5; ++i) {
+        const auto report = service.submit(programs[i], i).get();
+        ASSERT_TRUE(report.isOk()) << report.status().toString();
+        EXPECT_EQ(report->classified, report->epochs);
+        failures += report->detectorFailures;
+    }
+    service.stop();
+    EXPECT_GT(failures, 0u);
+    EXPECT_EQ(service.health().quarantinedCount(), 0u);
+}
+
+TEST(ServeDegrade, BrokenPoolRedrawsAreCappedPerEpoch)
+{
+    // A threshold no epoch can reach never quarantines, so a fully
+    // broken pool redraws each epoch until the capped budget runs
+    // out instead of pool size * threshold times.
+    const auto &prog = sharedExperiment().corpus().programs[0];
+    ServeConfig sc;
+    sc.workers = 1;
+    sc.health.failureThreshold = 1u << 12;
+    sc.chaos.enabled = true;
+    sc.chaos.brokenDetectors = {0, 1, 2};
+    DetectionService service(threeDetectorPool(), sc);
+
+    const auto report = service.submit(prog, 0).get();
+    ASSERT_FALSE(report.isOk());
+    EXPECT_EQ(report.status().code(), support::StatusCode::Unavailable);
+    service.stop();
+
+    // One planned draw plus the capped redraws, per epoch.
+    const runtime::HealthMonitor &health = service.health();
+    std::size_t failures = 0;
+    for (std::size_t d = 0; d < 3; ++d)
+        failures += health.failureCount(d);
+    EXPECT_EQ(failures,
+              (1 + kMaxFailoverAttempts) * prog.windows(10000).size());
+    EXPECT_EQ(health.quarantinedCount(), 0u);
 }
 
 // --- Service: observability -----------------------------------------
