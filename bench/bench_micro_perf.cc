@@ -1,33 +1,20 @@
 /**
  * @file
- * Micro-benchmarks of the SIMD scoring kernels: per-family batch
- * scoring throughput under the scalar reference vs the runtime-
- * dispatched vector kernels, plus the deterministic score/decision
- * hashes the CI simd-dispatch matrix byte-diffs between
- * RHMD_SIMD=scalar and RHMD_SIMD=auto runs.
+ * Micro-benchmarks of the scoring kernels: per-family batch-64
+ * scoring throughput, plus the deterministic score/decision hashes
+ * the CI bench sweep byte-diffs across thread counts.
  *
- * Three layers of gating ride on this binary:
- *
- *  1. The emitted tables carry only Deterministic-domain values
- *     (FNV-1a hashes of score bits and decision streams), computed
- *     under the env-resolved dispatch target. The scalar and auto CI
- *     legs must therefore produce byte-identical BENCH json, or the
- *     vector kernels drifted from the scalar reference.
- *  2. An in-process sweep re-scores everything under every
- *     host-supported target and dies on any hash mismatch, which
- *     catches drift even when only one leg runs.
- *  3. On an AVX2 host with auto dispatch, the geomean batch-64
- *     scoring speedup across the five families must clear the
- *     "micro_perf_simd_min_speedup" floor in bench/baseline.json.
- *     Timing numbers are printed but never emitted into the tables:
- *     wall time is not deterministic and would break the byte diff.
+ * The emitted tables carry only Deterministic-domain values (FNV-1a
+ * hashes of score bits and decision streams), so any drift in a
+ * family's scores or in the Hmd window path fails the determinism
+ * gate. Throughput is printed but never emitted into the tables:
+ * wall time is not deterministic and would break the byte diff.
  */
 
 #include "bench_common.hh"
 
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -35,14 +22,11 @@
 #include "features/matrix.hh"
 #include "features/window.hh"
 #include "ml/decision_tree.hh"
-#include "ml/kernels.hh"
 #include "ml/logistic_regression.hh"
 #include "ml/mlp.hh"
 #include "ml/random_forest.hh"
 #include "ml/svm.hh"
-#include "support/logging.hh"
 #include "support/rng.hh"
-#include "support/simd.hh"
 
 namespace
 {
@@ -94,7 +78,6 @@ randomMatrix(std::size_t rows, std::size_t cols, std::uint64_t seed)
         for (std::size_t j = 0; j < cols; ++j)
             row[j] = rng.uniform(-3.0, 3.0);
     }
-    m.buildSoa();
     return m;
 }
 
@@ -168,7 +151,7 @@ rowsPerSecond(const ml::Classifier &clf,
               const features::FeatureMatrix &batch, double budget)
 {
     using clock = std::chrono::steady_clock;
-    (void)clf.scoreBatch(batch);  // warm caches and dispatch
+    (void)clf.scoreBatch(batch);  // warm caches
     std::size_t reps = 0;
     const clock::time_point start = clock::now();
     double elapsed = 0.0;
@@ -188,14 +171,9 @@ int
 main(int argc, char **argv)
 {
     bench::init(argc, argv);
-    banner("SIMD kernel micro-benchmarks",
+    banner("Scoring kernel micro-benchmarks",
            "the scoring substrate behind Figs. 2/13/16 and the serve "
            "batch path");
-
-    const simd::Target active = simd::activeTarget();
-    std::printf("dispatch: active target %s (best on this host: %s)\n",
-                simd::targetName(active),
-                simd::targetName(simd::bestTarget()));
 
     const std::size_t d = 48;
     const std::size_t rows = smoke() ? 2000 : 10000;
@@ -203,23 +181,16 @@ main(int argc, char **argv)
     const features::FeatureMatrix big = randomMatrix(rows, d, 20171014);
 
     // ---- Deterministic score/decision hashes (emitted) -------------
-    // Computed under the env-resolved target: the CI simd-dispatch
-    // matrix byte-diffs this table between RHMD_SIMD=scalar and
-    // =auto runs, so any cross-target drift fails the gate.
-    std::printf("\nscoring determinism (target %s)\n",
-                simd::targetName(active));
+    std::printf("\nscoring determinism\n");
     Table det({"family", "rows", "score_hash", "decision_hash"});
-    std::vector<std::uint64_t> family_hashes;
     for (const auto &clf : families) {
         const std::vector<double> scores = clf->scoreBatch(big);
         std::vector<int> decisions;
         decisions.reserve(scores.size());
         for (double s : scores)
             decisions.push_back(s >= 0.5 ? 1 : 0);
-        const std::uint64_t score_hash = hashScores(kFnvOffset, scores);
-        family_hashes.push_back(score_hash);
         det.addRow({clf->name(), std::to_string(rows),
-                    hashHex(score_hash),
+                    hashHex(hashScores(kFnvOffset, scores)),
                     hashHex(hashDecisions(kFnvOffset, decisions))});
     }
     emitTable(det);
@@ -256,82 +227,27 @@ main(int argc, char **argv)
     window_decisions.reserve(window_scores.size());
     for (double s : window_scores)
         window_decisions.push_back(s >= hmd.threshold() ? 1 : 0);
-    const std::uint64_t hmd_hash = hashScores(kFnvOffset, window_scores);
 
     std::printf("\nwindow-path determinism (includes truncated tails)\n");
     Table hmd_table({"path", "windows", "score_hash", "decision_hash"});
     hmd_table.addRow(
         {"hmd_scoreWindows", std::to_string(windows.size()),
-         hashHex(hmd_hash),
+         hashHex(hashScores(kFnvOffset, window_scores)),
          hashHex(hashDecisions(kFnvOffset, window_decisions))});
     emitTable(hmd_table);
 
-    // ---- In-process cross-target sweep (asserted, not emitted) -----
-    // Re-score everything under every host-supported target; any
-    // hash drift from the env-resolved run above is fatal.
-    for (simd::Target target : simd::supportedTargets()) {
-        simd::setActiveTarget(target);
-        for (std::size_t f = 0; f < families.size(); ++f) {
-            const std::uint64_t h =
-                hashScores(kFnvOffset, families[f]->scoreBatch(big));
-            fatal_if(h != family_hashes[f], families[f]->name(),
-                     " scores under target '", simd::targetName(target),
-                     "' diverge from the '", simd::targetName(active),
-                     "' run: ", hashHex(h), " vs ",
-                     hashHex(family_hashes[f]));
-        }
-        const std::uint64_t h =
-            hashScores(kFnvOffset, hmd.scoreWindows(windows));
-        fatal_if(h != hmd_hash, "hmd window scores under target '",
-                 simd::targetName(target), "' diverge: ", hashHex(h),
-                 " vs ", hashHex(hmd_hash));
-    }
-    simd::setActiveTarget(active);
-    std::printf("\ncross-target sweep: all supported targets "
-                "bit-identical\n");
-
-    // ---- Batch-64 throughput, scalar vs active (printed only) ------
+    // ---- Batch-64 throughput (printed only) -------------------------
     const features::FeatureMatrix batch64 = randomMatrix(64, d, 7777);
     const double budget = smoke() ? 0.05 : 0.15;
     std::printf("\nbatch-64 scoring throughput (timing; deliberately "
                 "not in the deterministic tables)\n");
-    Table timing({"family", "scalar_rows_per_s",
-                  std::string(simd::targetName(active)) + "_rows_per_s",
-                  "speedup"});
-    double log_speedup_sum = 0.0;
+    Table timing({"family", "scalar_rows_per_s"});
     for (const auto &clf : families) {
-        simd::setActiveTarget(simd::Target::Scalar);
-        const double scalar_rps = rowsPerSecond(*clf, batch64, budget);
-        simd::setActiveTarget(active);
-        const double active_rps = rowsPerSecond(*clf, batch64, budget);
-        const double speedup = active_rps / scalar_rps;
-        log_speedup_sum += std::log(speedup);
-        timing.addRow({clf->name(), Table::cell(scalar_rps, 0),
-                       Table::cell(active_rps, 0),
-                       Table::cell(speedup, 2)});
+        timing.addRow({clf->name(),
+                       Table::cell(rowsPerSecond(*clf, batch64, budget),
+                                   0)});
     }
-    const double geomean = std::exp(
-        log_speedup_sum / static_cast<double>(families.size()));
     timing.print(std::cout);
-    std::printf("geomean batch-64 speedup (%s vs scalar): %.2fx\n",
-                simd::targetName(active), geomean);
-
-    // ---- Speedup floor (AVX2 hosts, auto dispatch) -----------------
-    if (active == simd::Target::Avx2) {
-        double floor = bench::detail::serialBaselineSeconds(
-            "micro_perf_simd_min_speedup");
-        if (floor <= 0.0)
-            floor = 1.5;
-        fatal_if(geomean < floor, "vectorized batch-64 scoring is only ",
-                 Table::cell(geomean, 2), "x scalar (floor ",
-                 Table::cell(floor, 2),
-                 "x): the avx2 kernels regressed");
-        std::printf("speedup floor %.2fx: passed\n", floor);
-    } else {
-        std::printf("speedup floor: skipped (active target %s is not "
-                    "avx2)\n",
-                    simd::targetName(active));
-    }
 
     return bench::finish();
 }

@@ -2,9 +2,9 @@
  * @file
  * Dataflow analyses implementation.
  *
- * Both fixpoints assume a structurally valid function (branch targets
- * in range) — run the CFG verifier first on untrusted input; out-of-
- * range targets here are a caller bug and panic.
+ * The liveness fixpoint assumes a structurally valid function (branch
+ * targets in range) — run the CFG verifier first on untrusted input;
+ * out-of-range targets here are a caller bug and panic.
  */
 
 #include "analysis/dataflow.hh"
@@ -244,175 +244,6 @@ Liveness::livePoints(std::size_t block) const
                     (points[i + 1] & ~instDefs(inst));
     }
     return points;
-}
-
-namespace
-{
-
-/** Append one DefSite per register defined by the given def set. */
-void
-appendDefSites(std::vector<DefSite> &defs, std::size_t block,
-               std::size_t inst, RegSet set)
-{
-    for (std::size_t r = 0; r < trace::kNumRegs; ++r) {
-        if (contains(set, static_cast<RegId>(r)))
-            defs.push_back({block, inst, static_cast<RegId>(r)});
-    }
-}
-
-} // namespace
-
-ReachingDefs
-ReachingDefs::compute(const trace::Function &fn)
-{
-    ReachingDefs out;
-    const std::size_t n = fn.blocks.size();
-
-    // Enumerate definition sites in (block, inst) program order so a
-    // block's own sites are contiguous.
-    std::vector<std::size_t> block_first(n + 1, 0);
-    for (std::size_t b = 0; b < n; ++b) {
-        block_first[b] = out.defs_.size();
-        const trace::BasicBlock &block = fn.blocks[b];
-        for (std::size_t i = 0; i < block.body.size(); ++i)
-            appendDefSites(out.defs_, b, i, instDefs(block.body[i]));
-        appendDefSites(out.defs_, b, kTermIndex, termDefs(block.term));
-    }
-    block_first[n] = out.defs_.size();
-
-    const std::size_t n_defs = out.defs_.size();
-    out.words_ = (n_defs + 63) / 64;
-    const std::size_t words = out.words_;
-
-    // Per-register def-site index lists, as bit masks for kill sets.
-    std::vector<std::vector<std::uint64_t>> defs_of_reg(
-        trace::kNumRegs, std::vector<std::uint64_t>(words, 0));
-    for (std::size_t d = 0; d < n_defs; ++d)
-        defs_of_reg[out.defs_[d].reg][d / 64] |= 1ULL << (d % 64);
-
-    // Block transfer functions.
-    std::vector<std::uint64_t> gen(n * words, 0);
-    std::vector<std::uint64_t> kill(n * words, 0);
-    for (std::size_t b = 0; b < n; ++b) {
-        std::uint64_t *g = &gen[b * words];
-        std::uint64_t *k = &kill[b * words];
-        for (std::size_t d = block_first[b]; d < block_first[b + 1];
-             ++d) {
-            const std::vector<std::uint64_t> &same =
-                defs_of_reg[out.defs_[d].reg];
-            for (std::size_t w = 0; w < words; ++w) {
-                g[w] &= ~same[w];  // later def of the reg wins
-                k[w] |= same[w];
-            }
-            g[d / 64] |= 1ULL << (d % 64);
-        }
-    }
-
-    // Predecessor lists.
-    std::vector<std::vector<std::uint32_t>> preds(n);
-    for (std::size_t b = 0; b < n; ++b) {
-        for (const std::uint32_t succ :
-             successorBlocks(fn.blocks[b].term)) {
-            panic_if(succ >= n, "successor out of range");
-            preds[succ].push_back(static_cast<std::uint32_t>(b));
-        }
-    }
-
-    // Forward fixpoint: in = ∪ out(pred), out = gen ∪ (in − kill).
-    out.in_.assign(n * words, 0);
-    std::vector<std::uint64_t> outset(n * words, 0);
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        ++out.iterations_;
-        for (std::size_t b = 0; b < n; ++b) {
-            std::uint64_t *in = &out.in_[b * words];
-            for (std::size_t w = 0; w < words; ++w) {
-                std::uint64_t bits = 0;
-                for (const std::uint32_t p : preds[b])
-                    bits |= outset[p * words + w];
-                in[w] = bits;
-            }
-            const std::uint64_t *g = &gen[b * words];
-            const std::uint64_t *k = &kill[b * words];
-            std::uint64_t *o = &outset[b * words];
-            for (std::size_t w = 0; w < words; ++w) {
-                const std::uint64_t next = g[w] | (in[w] & ~k[w]);
-                if (next != o[w]) {
-                    o[w] = next;
-                    changed = true;
-                }
-            }
-        }
-    }
-
-    // Def-use chains: walk each block with the running reaching set.
-    out.chains_.assign(n_defs, {});
-    std::vector<std::uint64_t> cur(words);
-    const auto record_uses = [&](std::size_t b, std::size_t i,
-                                 RegSet uses) {
-        for (std::size_t r = 0; r < trace::kNumRegs; ++r) {
-            if (!contains(uses, static_cast<RegId>(r)))
-                continue;
-            const std::vector<std::uint64_t> &same = defs_of_reg[r];
-            for (std::size_t w = 0; w < words; ++w) {
-                std::uint64_t live = cur[w] & same[w];
-                while (live != 0) {
-                    const auto bit = static_cast<std::size_t>(
-                        __builtin_ctzll(live));
-                    out.chains_[w * 64 + bit].push_back(
-                        {b, i, static_cast<RegId>(r)});
-                    live &= live - 1;
-                }
-            }
-        }
-    };
-    const auto apply_defs = [&](std::size_t &cursor, std::size_t last) {
-        for (; cursor < last; ++cursor) {
-            const std::vector<std::uint64_t> &same =
-                defs_of_reg[out.defs_[cursor].reg];
-            for (std::size_t w = 0; w < words; ++w)
-                cur[w] &= ~same[w];
-            cur[cursor / 64] |= 1ULL << (cursor % 64);
-        }
-    };
-    for (std::size_t b = 0; b < n; ++b) {
-        for (std::size_t w = 0; w < words; ++w)
-            cur[w] = out.in_[b * words + w];
-        const trace::BasicBlock &block = fn.blocks[b];
-        std::size_t cursor = block_first[b];
-        std::size_t next_site = cursor;
-        for (std::size_t i = 0; i < block.body.size(); ++i) {
-            record_uses(b, i, instUses(block.body[i]));
-            // Advance over this instruction's definition sites.
-            while (next_site < block_first[b + 1] &&
-                   out.defs_[next_site].inst == i) {
-                ++next_site;
-            }
-            apply_defs(cursor, next_site);
-        }
-        record_uses(b, kTermIndex, termUses(block.term));
-    }
-    return out;
-}
-
-std::vector<std::size_t>
-ReachingDefs::reachingIn(std::size_t block) const
-{
-    std::vector<std::size_t> out;
-    if (words_ == 0)
-        return out;
-    const std::uint64_t *in = &in_[block * words_];
-    for (std::size_t w = 0; w < words_; ++w) {
-        std::uint64_t bits = in[w];
-        while (bits != 0) {
-            const auto bit =
-                static_cast<std::size_t>(__builtin_ctzll(bits));
-            out.push_back(w * 64 + bit);
-            bits &= bits - 1;
-        }
-    }
-    return out;
 }
 
 } // namespace rhmd::analysis

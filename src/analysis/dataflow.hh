@@ -2,20 +2,15 @@
  * @file
  * Classic dataflow analyses over the trace IR's register model.
  *
- * All analyses work on the powerset lattice of the 15-register file
- * (a RegSet bitmask) or of a function's definition sites (a bitvector
- * keyed by DefSite index), with union as join. Transfer functions are
- * monotone and the lattices have finite height, so the round-robin
- * fixpoint iterations below terminate.
+ * Liveness works on the powerset lattice of the 15-register file (a
+ * RegSet bitmask) with union as join. The transfer function is
+ * monotone and the lattice has finite height, so the round-robin
+ * fixpoint iteration below terminates.
  *
- *  - Liveness: backward may-analysis. live_in(b) = use(b) ∪
- *    (live_out(b) − def(b)), live_out(b) = ∪ live_in(succ). The
- *    semantic-preservation checker (preservation.hh) is built on the
- *    per-point form.
- *  - Reaching definitions: forward may-analysis over definition
- *    sites; gen/kill per block, in(b) = ∪ out(pred).
- *  - Def-use chains: derived from reaching definitions by walking
- *    each block with the running reaching set.
+ * Liveness is a backward may-analysis: live_in(b) = use(b) ∪
+ * (live_out(b) − def(b)), live_out(b) = ∪ live_in(succ). The
+ * semantic-preservation checker (preservation.hh) is built on the
+ * per-point form.
  */
 
 #ifndef RHMD_ANALYSIS_DATAFLOW_HH
@@ -112,56 +107,6 @@ class Liveness
     LivenessOptions options_;
     std::vector<RegSet> liveIn_;
     std::vector<RegSet> liveOut_;
-    std::size_t iterations_ = 0;
-};
-
-/** Sentinel instruction index naming a block's terminator. */
-constexpr std::size_t kTermIndex = static_cast<std::size_t>(-1);
-
-/** One register definition: body[inst] (or the terminator) of a
- *  block defines reg. */
-struct DefSite
-{
-    std::size_t block = 0;
-    std::size_t inst = 0;  ///< body index, or kTermIndex
-    trace::RegId reg = 0;
-};
-
-/** One register use, in the same coordinates. */
-struct UseSite
-{
-    std::size_t block = 0;
-    std::size_t inst = 0;  ///< body index, or kTermIndex
-    trace::RegId reg = 0;
-};
-
-/** Reaching-definitions solution plus derived def-use chains. */
-class ReachingDefs
-{
-  public:
-    static ReachingDefs compute(const trace::Function &fn);
-
-    /** All definition sites, in (block, inst) program order. */
-    const std::vector<DefSite> &defSites() const { return defs_; }
-
-    /** Indexes into defSites() whose definitions reach the entry of
-     *  @p block. */
-    std::vector<std::size_t> reachingIn(std::size_t block) const;
-
-    /** chains()[d] = the uses reached by definition d, in program
-     *  order. */
-    const std::vector<std::vector<UseSite>> &chains() const
-    {
-        return chains_;
-    }
-
-    std::size_t iterations() const { return iterations_; }
-
-  private:
-    std::vector<DefSite> defs_;
-    std::vector<std::vector<UseSite>> chains_;
-    std::size_t words_ = 0;  ///< bitvector words per block
-    std::vector<std::uint64_t> in_;
     std::size_t iterations_ = 0;
 };
 

@@ -159,12 +159,6 @@ Hmd::featureMatrix(
         panic_if(windows[r] == nullptr, "null window in batch");
         fillFeatureRow(*windows[r], matrix.row(r));
     }
-    // Hand a batch scoreBatch the SoA view up front so the vector
-    // kernels never fall back; padding rows stay zero and are never
-    // scored. One window gains nothing from it, and the kernels score
-    // a matrix without one through the scalar table, bit for bit.
-    if (windows.size() > 1)
-        matrix.buildSoa();
     return matrix;
 }
 

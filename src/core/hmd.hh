@@ -113,8 +113,7 @@ class Hmd : public Detector
 
     /**
      * Standardized feature matrix of a batch of windows, one row per
-     * window, built without per-row allocation, with the SoA view
-     * when it holds more than one window. Row values are
+     * window, built without per-row allocation. Row values are
      * bit-identical to featureVector().
      */
     features::FeatureMatrix featureMatrix(

@@ -130,6 +130,41 @@ requireEpochWindow(const features::ProgramFeatures &prog,
     return windows[index];
 }
 
+support::Status
+checkEpochWindows(const features::ProgramFeatures &prog,
+                  const std::vector<std::unique_ptr<Hmd>> &detectors,
+                  std::uint32_t epoch)
+{
+    const auto epochs = prog.byPeriod.find(epoch);
+    if (epochs == prog.byPeriod.end())
+        return support::invalidArgumentError(
+            "program '", prog.name, "' has no windows for period ", epoch);
+    const std::size_t n_epochs = epochs->second.size();
+    for (std::size_t d = 0; d < detectors.size(); ++d) {
+        const std::uint32_t period = detectors[d]->decisionPeriod();
+        // One lookup per distinct period; the epoch's is done.
+        bool seen = period == epoch;
+        for (std::size_t k = 0; k < d && !seen; ++k)
+            seen = detectors[k]->decisionPeriod() == period;
+        if (seen)
+            continue;
+        const auto windows = prog.byPeriod.find(period);
+        if (windows == prog.byPeriod.end())
+            return support::invalidArgumentError(
+                "program '", prog.name, "' has no windows for period ",
+                period);
+        // The last epoch's window index, as requireEpochWindow
+        // computes it.
+        if (n_epochs > 0 &&
+            (n_epochs - 1) * (epoch / period) >= windows->second.size())
+            return support::invalidArgumentError(
+                "program '", prog.name, "' has no window for epoch ",
+                n_epochs - 1, " at period ", period, " (",
+                windows->second.size(), " windows)");
+    }
+    return {};
+}
+
 std::vector<const features::RawWindow *>
 epochWindows(const features::ProgramFeatures &prog, std::uint32_t epoch,
              const Hmd &det)

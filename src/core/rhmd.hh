@@ -51,6 +51,19 @@ const features::RawWindow &
 requireEpochWindow(const features::ProgramFeatures &prog,
                    std::uint32_t epoch, const Hmd &det, std::size_t e);
 
+/**
+ * InvalidArgument unless every requireEpochWindow() a pool of
+ * @p detectors with epoch length @p epoch can make on @p prog
+ * succeeds: @p prog has windows at every detector period, and each
+ * period's stream reaches epoch n - 1, where n is the number of
+ * windows at @p epoch. A service checks an untrusted program with
+ * this before planning it.
+ */
+support::Status
+checkEpochWindows(const features::ProgramFeatures &prog,
+                  const std::vector<std::unique_ptr<Hmd>> &detectors,
+                  std::uint32_t epoch);
+
 /** requireEpochWindow() for every epoch of @p prog, in epoch order. */
 std::vector<const features::RawWindow *>
 epochWindows(const features::ProgramFeatures &prog, std::uint32_t epoch,

@@ -25,33 +25,4 @@ FeatureMatrix::rowVector(std::size_t r) const
     return std::vector<double>(row(r), row(r) + cols_);
 }
 
-void
-FeatureMatrix::buildSoa()
-{
-    if (rows_ == 0) {
-        paddedRows_ = 0;
-        soa_.clear();
-        return;
-    }
-    const std::size_t pad = simd::kMaxLanes;
-    paddedRows_ = (rows_ + pad - 1) / pad * pad;
-    soa_.assign(paddedRows_ * cols_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        const double *src = row(r);
-        for (std::size_t j = 0; j < cols_; ++j)
-            soa_[j * paddedRows_ + r] = src[j];
-    }
-}
-
-const double *
-FeatureMatrix::col(std::size_t j) const
-{
-    panic_if(!hasSoa(),
-             "SoA column requested before buildSoa() (", rows_,
-             " rows)");
-    panic_if(j >= cols_, "matrix column ", j, " out of range (", cols_,
-             " cols)");
-    return soa_.data() + j * paddedRows_;
-}
-
 } // namespace rhmd::features

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/kernels.hh"
 #include "support/logging.hh"
 
 namespace rhmd::features
@@ -68,10 +67,8 @@ FeatureSpec::appendTo(const RawWindow &window, double *out) const
         return;
       }
       case FeatureKind::Memory: {
-        // Contiguous u32 bins -> per-instruction rates, through the
-        // active simd kernel (bit-identical to the scalar loop).
-        ml::kernels().rateConvertU32(window.memDeltaBins.data(),
-                                     kNumMemBins, insts, out);
+        for (std::uint32_t bin : window.memDeltaBins)
+            *out++ = static_cast<double>(bin) / insts;
         return;
       }
       case FeatureKind::Architectural: {
@@ -117,9 +114,8 @@ selectTopDeltaOpcodes(const std::vector<const RawWindow *> &windows,
             1.0, static_cast<double>(window.instCount));
         auto &accum = labels[i] ? malware_mean : benign_mean;
         (labels[i] ? n_malware : n_benign) += 1;
-        ml::kernels().rateAccumulateU32(window.opcodeCounts.data(),
-                                        trace::kNumOpClasses, insts,
-                                        accum.data());
+        for (std::size_t op = 0; op < trace::kNumOpClasses; ++op)
+            accum[op] += static_cast<double>(window.opcodeCounts[op]) / insts;
     }
     fatal_if(n_malware == 0 || n_benign == 0,
              "opcode selection requires both classes in training data");

@@ -37,19 +37,10 @@ class Classifier
     virtual void train(const Dataset &data, Rng &rng) = 0;
 
     /**
-     * Positive-class scores in [0, 1] for every row of @p x, in row
-     * order: the one scoring entry every family implements, through
-     * the ml::kernels() table (DESIGN.md section 11). A row's score
-     * depends neither on the batch it arrives in nor on the simd
-     * dispatch target (DESIGN.md section 14).
-     *
-     * Exactly rows() scores come back, in row order, whether or not
-     * the matrix carries a padded SoA view: padding lanes exist only
-     * inside the kernels and never surface as scores or decisions.
-     * A matrix without the SoA view is scored by the scalar table on
-     * rows [0, rows()) of the row-major block only, so a batch whose
-     * tail rows came from truncated windows is scored on those rows'
-     * real features, never on out-of-row memory or padding.
+     * Positive-class scores in [0, 1] for every row of @p x: exactly
+     * rows() scores, in row order. The one scoring entry every family
+     * implements (DESIGN.md section 11). A row's score does not
+     * depend on the batch it arrives in (DESIGN.md section 14).
      */
     virtual std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const = 0;

@@ -7,7 +7,6 @@
 
 #include <cmath>
 
-#include "ml/kernels.hh"
 #include "support/logging.hh"
 
 namespace rhmd::ml
@@ -106,12 +105,8 @@ Standardizer::fit(const Dataset &data)
 std::vector<double>
 Standardizer::apply(const std::vector<double> &v) const
 {
-    panic_if(v.size() != mean.size(),
-             "standardizer dim mismatch: ", v.size(), " vs ",
-             mean.size());
-    std::vector<double> out(v.size());
-    for (std::size_t j = 0; j < v.size(); ++j)
-        out[j] = (v[j] - mean[j]) / scale[j];
+    std::vector<double> out = v;
+    applyInPlace(out.data(), out.size());
     return out;
 }
 
@@ -120,7 +115,8 @@ Standardizer::applyInPlace(double *row, std::size_t n) const
 {
     panic_if(n != mean.size(),
              "standardizer dim mismatch: ", n, " vs ", mean.size());
-    kernels().standardizeRow(row, mean.data(), scale.data(), n);
+    for (std::size_t j = 0; j < n; ++j)
+        row[j] = (row[j] - mean[j]) / scale[j];
 }
 
 Dataset

@@ -73,8 +73,7 @@ struct Standardizer
 
     /**
      * Transform @p row (@p n doubles) in place — the allocation-free
-     * form of apply() used when filling feature-matrix rows. Values
-     * are bit-identical to apply() on every simd target. Panics
+     * form of apply() used when filling feature-matrix rows. Panics
      * unless @p n == dim(): the caller's buffer length is part of
      * the call so a short row can never be standardized off its end.
      */

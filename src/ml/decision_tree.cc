@@ -167,9 +167,9 @@ std::vector<double>
 DecisionTree::scoreBatch(const features::FeatureMatrix &x) const
 {
     panic_if(nodes_.empty(), "DT scored before training");
-    std::vector<double> out = scoreSpan(x);
-    kernels().treeScore(flat_, x, out.data());
-    out.resize(x.rows());  // drop padding lanes: they are not windows
+    std::vector<double> out(x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r)
+        out[r] = treeLeaf(flat_, x.row(r));
     return out;
 }
 

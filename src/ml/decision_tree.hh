@@ -60,7 +60,7 @@ class DecisionTree : public Classifier
     /** The grown node array (root at index 0; empty before train). */
     const std::vector<Node> &nodes() const { return nodes_; }
 
-    /** The grown tree in kernel layout (rebuilt by train()). */
+    /** The grown tree in flat layout (rebuilt by train()). */
     const FlatTree &flat() const { return flat_; }
 
   private:
@@ -74,11 +74,11 @@ class DecisionTree : public Classifier
 };
 
 /**
- * Flatten a grown node array into the kernel layout. @p map, when
+ * Flatten a grown node array into the flat layout. @p map, when
  * non-null, rewrites each split's feature index through
  * (*map)[feature] — the random forest uses its per-tree feature
- * selection here so the traversal kernels read full-width rows
- * directly instead of copying a projected row per (row, tree) pair.
+ * selection here so the tree walk reads full-width rows directly
+ * instead of copying a projected row per (row, tree) pair.
  * Thresholds, structure, and leaf values are untouched, so the
  * flattened walk reaches exactly the leaves the Node walk reaches.
  */

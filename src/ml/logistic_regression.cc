@@ -78,12 +78,9 @@ LogisticRegression::scoreBatch(const features::FeatureMatrix &x) const
     panic_if(x.rows() > 0 && x.cols() != weights_.size(),
              "LR batch dim mismatch: ", x.cols(), " vs ",
              weights_.size());
-    // One margin per row with the support::dot accumulation order;
-    // the link function stays a scalar libm call per real row so
-    // every target shares its rounding.
-    std::vector<double> out = scoreSpan(x);
-    kernels().linearMargin(x, weights_.data(), bias_, out.data());
-    out.resize(x.rows());  // drop padding lanes: they are not windows
+    // One margin per row with the support::dot accumulation order.
+    std::vector<double> out(x.rows());
+    linearMargin(x, weights_.data(), bias_, out.data());
     for (double &z : out)
         z = sigmoid(z);
     return out;

@@ -105,15 +105,12 @@ Mlp::scoreBatch(const features::FeatureMatrix &x) const
     panic_if(w1_.empty(), "MLP scored before training");
     panic_if(x.rows() > 0 && x.cols() != inputDim_,
              "MLP batch dim mismatch: ", x.cols(), " vs ", inputDim_);
-    // One affine kernel sweep per hidden unit, with the tanh and the
-    // output accumulation kept as scalar per-row steps: z_out sums in
-    // ascending h from b2_, and every libm call sees the same operand
-    // on every target.
-    const KernelTable &k = kernels();
-    std::vector<double> hidden = scoreSpan(x);
+    // One affine sweep per hidden unit, then the tanh and the output
+    // accumulation per row: z_out sums in ascending h from b2_.
+    std::vector<double> hidden(x.rows());
     std::vector<double> out(x.rows(), b2_);
     for (std::size_t h = 0; h < w1_.size(); ++h) {
-        k.linearMargin(x, w1_[h].data(), b1_[h], hidden.data());
+        linearMargin(x, w1_[h].data(), b1_[h], hidden.data());
         for (std::size_t r = 0; r < x.rows(); ++r)
             out[r] += w2_[h] * std::tanh(hidden[r]);
     }

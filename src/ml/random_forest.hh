@@ -66,9 +66,9 @@ class RandomForest : public Classifier
     /** Per-tree selected feature indices. */
     std::vector<std::vector<std::size_t>> featureSel_;
     /**
-     * Trees in kernel layout with splits remapped through
-     * featureSel_, so the traversal kernels read full-width feature
-     * rows directly (no per-(row, tree) projection copies).
+     * Trees in flat layout with splits remapped through featureSel_,
+     * so the tree walk reads full-width feature rows directly (no
+     * per-(row, tree) projection copies).
      */
     std::vector<FlatTree> flat_;
 };

@@ -67,10 +67,9 @@ LinearSvm::scoreBatch(const features::FeatureMatrix &x) const
              "SVM batch dim mismatch: ", x.cols(), " vs ",
              weights_.size());
     // margin() per row with the support::dot accumulation order;
-    // sharpness and sigmoid applied per real row.
-    std::vector<double> out = scoreSpan(x);
-    kernels().linearMargin(x, weights_.data(), bias_, out.data());
-    out.resize(x.rows());  // drop padding lanes: they are not windows
+    // sharpness and sigmoid applied per row.
+    std::vector<double> out(x.rows());
+    linearMargin(x, weights_.data(), bias_, out.data());
     for (double &z : out)
         z = sigmoid(config_.scoreSharpness * z);
     return out;

@@ -372,19 +372,31 @@ DetectionService::processBatch(std::vector<Request> &batch)
         }
     }
 
-    std::vector<Request *> live;
-    live.reserve(batch.size());
-    for (Request &req : batch)
-        live.push_back(&req);
-
-    counters.batches.add(1);
-    counters.batchSize.observe(static_cast<double>(live.size()));
-
     // Pool snapshot: the RCU epoch of this batch. Everything below
     // reads this version — a swapPool() landing mid-batch is invisible
     // here and the old version reclaims when the last holder drops it.
     const std::shared_ptr<PoolState> state = pools_.current();
     const core::Rhmd &pool = *state->pool;
+
+    // A program whose windows this snapshot cannot plan is the
+    // caller's error, not the service's: it is answered here and
+    // leaves the batch without touching health or the breaker.
+    std::vector<Request *> live;
+    live.reserve(batch.size());
+    for (Request &req : batch) {
+        support::Status shape = core::checkEpochWindows(
+            *req.prog, pool.detectors(), pool.decisionPeriod());
+        if (!shape.isOk()) {
+            req.promise.set_value(std::move(shape));
+            continue;
+        }
+        live.push_back(&req);
+    }
+    if (live.empty())
+        return;
+
+    counters.batches.add(1);
+    counters.batchSize.observe(static_cast<double>(live.size()));
     chaos_.batchPlanned(state->version);
     chaos_.maybeDelayBatch();
 
@@ -573,6 +585,10 @@ DetectionService::shadowScore(const features::ProgramFeatures &prog,
                               std::uint64_t key, int live_decision,
                               const core::Rhmd &candidate)
 {
+    if (!core::checkEpochWindows(prog, candidate.detectors(),
+                                 candidate.decisionPeriod())
+             .isOk())
+        return;
     // Same per-key stream derivation as the live plan, so the shadow
     // verdict for a key is a pure function of (service seed, key,
     // candidate) — independent of batch composition and of the live

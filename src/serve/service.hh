@@ -202,10 +202,11 @@ struct ShadowStats
  * producer threads and answers them through a versioned detector
  * pool.
  *
- * Submitted programs must outlive their futures and carry windows
- * for every base period of the pool (all versions they may be scored
- * against). Health state accumulates per pool version; epochs advance
- * per drained batch.
+ * Submitted programs must outlive their futures. A program without
+ * windows for every base period of the pool version that plans it is
+ * answered InvalidArgument, and one the shadow candidate cannot plan
+ * is not shadow-scored. Health state accumulates per pool version;
+ * epochs advance per drained batch.
  */
 class DetectionService
 {
@@ -241,6 +242,10 @@ class DetectionService
      * resolves to the request's report, or to Unavailable when the
      * request was shed (stopped / breaker open / quota / queue full /
      * deadline) or the whole pool is quarantined under fail-closed.
+     * A program the batch's pool version cannot plan — no windows at
+     * one of its detector periods, or a stream that ends before the
+     * last epoch (core::checkEpochWindows) — resolves to
+     * InvalidArgument and does not count toward the circuit breaker.
      *
      * @param prog        feature windows; must stay alive until the
      *                    future resolves.
@@ -364,7 +369,9 @@ class DetectionService
      * Score one classified live request against the shadow pool with
      * its own (seed, key) switching stream and fold the outcome into
      * shadowStats_. Plain scoring: no chaos, no health coupling, no
-     * failover — the candidate is evaluated as it would serve.
+     * failover — the candidate is evaluated as it would serve. A
+     * program the candidate cannot plan (core::checkEpochWindows) is
+     * skipped: the live check does not cover the candidate's periods.
      */
     void shadowScore(const features::ProgramFeatures &prog,
                      std::uint64_t key, int live_decision,

@@ -5,7 +5,6 @@
 
 #include "uarch/perf_counters.hh"
 
-#include "ml/kernels.hh"
 #include "support/logging.hh"
 
 namespace rhmd::uarch
@@ -22,10 +21,8 @@ saturatingDelta(const EventCounts &cumulative, const EventCounts &base,
 void
 eventRates(const EventCounts &counts, double insts, double *out)
 {
-    double widened[kNumEvents];
     for (std::size_t e = 0; e < kNumEvents; ++e)
-        widened[e] = static_cast<double>(counts[e]);
-    ml::kernels().rateConvertF64(widened, kNumEvents, insts, out);
+        out[e] = static_cast<double>(counts[e]) / insts;
 }
 
 std::string_view

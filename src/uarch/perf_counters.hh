@@ -59,10 +59,7 @@ void saturatingDelta(const EventCounts &cumulative,
 
 /**
  * out[e] = double(counts[e]) / insts for all kNumEvents events —
- * the Architectural feature family's count-to-rate conversion,
- * dispatched through the active simd kernel table. Bit-identical on
- * every target: the u64 -> double converts stay scalar and only the
- * independent per-event divides are vectorized.
+ * the Architectural feature family's count-to-rate conversion.
  */
 void eventRates(const EventCounts &counts, double insts, double *out);
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests of the static verification layer: diagnostics, dataflow
- * (liveness, reaching definitions, def-use chains) on handcrafted
- * CFGs with known solutions, the CFG verifier's accept and reject
- * paths, the semantic-preservation checker (paper-mode payloads pass,
- * a clobbering mutation is rejected), the injection gate, and
- * admission of untrusted programs.
+ * Tests of the static verification layer: diagnostics, liveness on
+ * handcrafted CFGs with known solutions, the CFG verifier's accept
+ * and reject paths, the semantic-preservation checker (paper-mode
+ * payloads pass, a clobbering mutation is rejected), the injection
+ * gate, and admission of untrusted programs.
  */
 
 #include <gtest/gtest.h>
@@ -270,66 +269,6 @@ TEST(Liveness, ObservableUsesIgnoreInjectedReaders)
     const Liveness observable =
         Liveness::compute(prog.functions[0], {true});
     EXPECT_FALSE(contains(observable.liveIn(0), kR1));
-}
-
-// --- dataflow: reaching definitions and def-use chains -------------
-
-TEST(ReachingDefs, DiamondChains)
-{
-    const trace::Program prog = diamondProgram();
-    const ReachingDefs rd = ReachingDefs::compute(prog.functions[0]);
-
-    // Five definition sites in program order: r1, r2 (b0), r3 (b1),
-    // r3 (b2), r0 (b3); none of the terminators define registers.
-    ASSERT_EQ(rd.defSites().size(), 5u);
-    EXPECT_EQ(rd.defSites()[0].reg, kR1);
-    EXPECT_EQ(rd.defSites()[2].block, 1u);
-    EXPECT_EQ(rd.defSites()[3].block, 2u);
-
-    // Both r3 definitions (but not the killed-nothing r0) reach b3.
-    const std::vector<std::size_t> in3 = rd.reachingIn(3);
-    EXPECT_EQ(in3, (std::vector<std::size_t>{0, 1, 2, 3}));
-
-    // d0 (r1) is used by the branch and by b1's add.
-    const auto &uses_r1 = rd.chains()[0];
-    ASSERT_EQ(uses_r1.size(), 2u);
-    EXPECT_EQ(uses_r1[0].block, 0u);
-    EXPECT_EQ(uses_r1[0].inst, kTermIndex);
-    EXPECT_EQ(uses_r1[1].block, 1u);
-    EXPECT_EQ(uses_r1[1].inst, 0u);
-
-    // d1 (r2) feeds the branch and both arms.
-    EXPECT_EQ(rd.chains()[1].size(), 3u);
-
-    // Each r3 definition reaches the single merged use in b3.
-    ASSERT_EQ(rd.chains()[2].size(), 1u);
-    EXPECT_EQ(rd.chains()[2][0].block, 3u);
-    EXPECT_EQ(rd.chains()[3].size(), 1u);
-
-    // d4 (r0) is observed by the exit terminator.
-    ASSERT_EQ(rd.chains()[4].size(), 1u);
-    EXPECT_EQ(rd.chains()[4][0].inst, kTermIndex);
-    EXPECT_EQ(rd.chains()[4][0].reg, kR0);
-}
-
-TEST(ReachingDefs, RedefinitionKillsEarlierDef)
-{
-    // b0: r1 = imm; r1 = imm; r0 = r1; exit
-    trace::Program prog;
-    prog.regions = {{0x1000, 4096}};
-    trace::Function fn;
-    fn.blocks.resize(1);
-    fn.blocks[0].body = {movImm(kR1), movImm(kR1),
-                         alu(OpClass::MovRegReg, kR0, kR1, kR1)};
-    fn.blocks[0].term = exitTerm();
-    prog.functions.push_back(std::move(fn));
-
-    const ReachingDefs rd = ReachingDefs::compute(prog.functions[0]);
-    ASSERT_EQ(rd.defSites().size(), 3u);
-    // The first r1 definition is dead; only the second has a use.
-    EXPECT_TRUE(rd.chains()[0].empty());
-    ASSERT_EQ(rd.chains()[1].size(), 1u);
-    EXPECT_EQ(rd.chains()[1][0].inst, 2u);
 }
 
 // --- CFG verifier ---------------------------------------------------

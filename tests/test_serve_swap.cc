@@ -474,6 +474,67 @@ TEST(ServeSwap, PacGateRejectsPoisonedCandidateAndKeepsServing)
               replayDecisions(*pool_v1, sc.seed, programs[0], 7));
 }
 
+// --- Service: malformed requests ------------------------------------
+
+TEST(ServeRequests, MalformedProgramsAnswerInvalidArgument)
+{
+    const auto &programs = sharedExperiment().corpus().programs;
+    const auto pool = threeDetectorPool(5);
+    ASSERT_GE(programs[0].windows(10000).size(), 3u);
+    // The pool's epoch is 10000 and one detector runs at 5000: a
+    // program without that period, and one whose 5000 stream ends
+    // after its first window, cannot be planned.
+    features::ProgramFeatures no_period = programs[0];
+    no_period.byPeriod.erase(5000);
+    features::ProgramFeatures cut = programs[0];
+    cut.byPeriod.at(5000).resize(1);
+
+    for (bool fail_open : {false, true}) {
+        ServeConfig sc;
+        sc.workers = 1;
+        sc.failOpen = fail_open;
+        sc.breaker.enabled = true;
+        sc.breaker.failureThreshold = 2;
+        DetectionService service(pool, sc);
+        for (const features::ProgramFeatures *bad : {&no_period, &cut}) {
+            const auto report = service.submit(*bad, 1).get();
+            ASSERT_FALSE(report.isOk()) << "failOpen=" << fail_open;
+            EXPECT_EQ(report.status().code(),
+                      support::StatusCode::InvalidArgument)
+                << report.status().toString();
+        }
+        // Neither counted toward the breaker, and the service still
+        // answers a well-formed program as the serial replay does.
+        EXPECT_EQ(service.breakerState(), CircuitBreaker::State::Closed);
+        const auto good = service.submit(programs[0], 1).get();
+        ASSERT_TRUE(good.isOk()) << good.status().toString();
+        EXPECT_EQ(good->decisions,
+                  replayDecisions(*pool, sc.seed, programs[0], 1));
+    }
+}
+
+TEST(ServeRequests, ShadowSkipsProgramsTheCandidateCannotPlan)
+{
+    const auto &programs = sharedExperiment().corpus().programs;
+    // The live pool runs at 10000 only; the candidate adds 5000.
+    const auto live = twoDetectorPool();
+    features::ProgramFeatures no_period = programs[0];
+    no_period.byPeriod.erase(5000);
+
+    ServeConfig sc;
+    sc.workers = 1;
+    DetectionService service(live, sc);
+    ASSERT_TRUE(service.installShadow(threeDetectorPool(9)).isOk());
+    const auto report = service.submit(no_period, 3).get();
+    ASSERT_TRUE(report.isOk()) << report.status().toString();
+    EXPECT_EQ(report->decisions,
+              replayDecisions(*live, sc.seed, no_period, 3));
+    EXPECT_EQ(service.shadowStats().requests, 0u);
+
+    ASSERT_TRUE(service.submit(programs[0], 4).get().isOk());
+    EXPECT_EQ(service.shadowStats().requests, 1u);
+}
+
 // --- Service: admission ---------------------------------------------
 
 TEST(ServeAdmission, QuotaExhaustionShedsWithoutRefill)
