@@ -6,11 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/experiment.hh"
+#include "corpus/cache.hh"
+#include "features/corpus.hh"
 #include "features/extractor.hh"
 #include "features/spec.hh"
+#include "trace/dcfg.hh"
 #include "trace/generator.hh"
+#include "trace/injection.hh"
 
 namespace
 {
@@ -372,6 +382,124 @@ TEST(FeatureSession, RejectsBadPeriods)
                 ::testing::ExitedWithCode(1), "unique");
     EXPECT_EXIT(FeatureSession({0}), ::testing::ExitedWithCode(1),
                 "positive");
+}
+
+/** FNV-1a over 64-bit words; doubles enter by bit pattern. */
+class WindowDigest
+{
+  public:
+    void
+    add(std::uint64_t word)
+    {
+        hash_ ^= word;
+        hash_ *= 0x100000001b3ULL;
+    }
+
+    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+
+    void
+    add(const RawWindow &win)
+    {
+        for (std::uint32_t count : win.opcodeCounts)
+            add(std::uint64_t{count});
+        for (std::uint32_t bin : win.memDeltaBins)
+            add(std::uint64_t{bin});
+        for (std::uint64_t event : win.events)
+            add(event);
+        add(win.instCount);
+        add(win.cycles);
+        add(win.injectedFrac);
+        add(std::uint64_t{win.truncated});
+    }
+
+    void
+    add(const ProgramFeatures &program)
+    {
+        add(std::uint64_t{program.family});
+        add(std::uint64_t{program.malware});
+        for (const auto &[period, windows] : program.byPeriod) {
+            add(std::uint64_t{period});
+            add(std::uint64_t{windows.size()});
+            for (const RawWindow &win : windows)
+                add(win);
+        }
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(hash_));
+        return buf;
+    }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * Pins the simulator's output: execution, the cache/predictor/PMU
+ * models, the CPI model and window slicing. Any change to what
+ * extractProgram, the injector's executed stream or the DCFG sink
+ * observe changes the digest. The constant was computed from the
+ * simulator before its loop was fused and inlined; an intended
+ * change to the simulated machine must re-derive it and say so.
+ */
+TEST(ExtractGolden, SimulatorOutputIsPinned)
+{
+    const core::ExperimentConfig preset =
+        corpus::presetConfig("standard", true);
+    const std::vector<trace::Program> population =
+        trace::ProgramGenerator(core::generatorConfigOf(preset))
+            .generateCorpus();
+    // The first member of each behaviour family.
+    std::vector<const trace::Program *> programs;
+    for (const trace::Program &program : population) {
+        if (program.family >= programs.size())
+            programs.resize(program.family + 1, nullptr);
+        if (programs[program.family] == nullptr)
+            programs[program.family] = &program;
+    }
+    ASSERT_EQ(programs.size(), 12u);
+
+    ExtractConfig steady = core::extractConfigOf(preset);
+    ASSERT_EQ(steady.periods, (std::vector<std::uint32_t>{5000, 10000}));
+    ASSERT_EQ(steady.traceInsts, 80000u);
+    ExtractConfig partial = steady;
+    partial.periods = {3000, 7000};
+    partial.traceInsts = 50000;
+    partial.emitPartialWindows = true;
+
+    WindowDigest digest;
+    for (const trace::Program *program : programs) {
+        ASSERT_NE(program, nullptr);
+        digest.add(extractProgram(*program, steady));
+        digest.add(extractProgram(*program, partial));
+    }
+
+    // A weighted block-level rewrite: injected instructions reach the
+    // windows (injectedFrac) and the dynamic-overhead sink.
+    const trace::Program &malware = *programs.back();
+    ASSERT_TRUE(malware.malware);
+    const trace::Program rewritten = trace::Injector::applyWeighted(
+        malware, trace::InjectLevel::Block, 3,
+        {{OpClass::Load, 2.0}, {OpClass::IntAdd, 1.0},
+         {OpClass::Store, 1.0}, {OpClass::FpMul, 0.5}},
+        77);
+    const ProgramFeatures injected = extractProgram(rewritten, steady);
+    ASSERT_GT(injected.windows(5000).front().injectedFrac, 0.0);
+    digest.add(injected);
+    digest.add(trace::dynamicOverhead(rewritten, 30000, 5));
+
+    trace::DcfgBuilder dcfg;
+    trace::Executor(*programs.front(), 9).run(40000, dcfg);
+    digest.add(std::uint64_t{dcfg.nodes().size()});
+    digest.add(std::uint64_t{dcfg.edgeCount()});
+    digest.add(std::uint64_t{dcfg.retBlockCount()});
+    digest.add(dcfg.instCount());
+
+    EXPECT_EQ(digest.hex(), "4e8173a7a648b64d");
 }
 
 TEST(FeatureKindName, Names)
