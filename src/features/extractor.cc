@@ -26,36 +26,31 @@ FeatureSession::FeatureSession(std::vector<std::uint32_t> periods,
         fatal_if(periods[i] == 0, "collection period must be positive");
         accums_[i].period = periods[i];
     }
+    // Sorted: the shortest period ends the first segment.
+    segmentLength_ = untilBoundary_ = accums_.front().period;
 }
 
 void
-FeatureSession::consume(const trace::DynInst &inst)
+FeatureSession::closeSegment()
 {
-    const uarch::StepOutcome outcome = monitor_.step(inst);
-    cpi_.account(inst, outcome);
-    ++totalInsts_;
-
-    // Memory-delta bin, computed once and shared by every period.
-    std::size_t delta_bin = kNumMemBins;  // sentinel: no access
-    if (inst.isLoad || inst.isStore) {
-        if (haveLastAddr_)
-            delta_bin = memDeltaBin(lastAddr_, inst.addr);
-        lastAddr_ = inst.addr;
-        haveLastAddr_ = true;
-    }
-
-    const auto op_index = static_cast<std::size_t>(inst.op);
+    const std::uint64_t length = segmentLength_ - untilBoundary_;
+    std::uint64_t next = ~std::uint64_t{0};
     for (PeriodAccum &accum : accums_) {
         RawWindow &win = accum.current;
-        ++win.opcodeCounts[op_index];
-        if (delta_bin < kNumMemBins)
-            ++win.memDeltaBins[delta_bin];
-        if (inst.injected)
-            ++accum.injectedInWindow;
-        if (++win.instCount < accum.period)
-            continue;
-        closeWindow(accum, /*truncated=*/false);
+        for (std::size_t op = 0; op < trace::kNumOpClasses; ++op)
+            win.opcodeCounts[op] += segment_.opcodeCounts[op];
+        for (std::size_t bin = 0; bin < kNumMemBins; ++bin)
+            win.memDeltaBins[bin] += segment_.memDeltaBins[bin];
+        win.instCount += length;
+        accum.injectedInWindow += segmentInjected_;
+        if (win.instCount == accum.period)
+            closeWindow(accum, /*truncated=*/false);
+        next = std::min<std::uint64_t>(next,
+                                       accum.period - win.instCount);
     }
+    segment_ = RawWindow{};
+    segmentInjected_ = 0;
+    segmentLength_ = untilBoundary_ = next;
 }
 
 void
@@ -82,11 +77,16 @@ FeatureSession::closeWindow(PeriodAccum &accum, bool truncated)
 void
 FeatureSession::finish()
 {
+    // Fold the partial segment in first; it ends before every
+    // period's boundary, so no window fills here.
+    if (untilBoundary_ != segmentLength_)
+        closeSegment();
     for (PeriodAccum &accum : accums_) {
         if (accum.current.instCount == 0)
             continue;  // the stream ended exactly on a boundary
         closeWindow(accum, /*truncated=*/true);
     }
+    segmentLength_ = untilBoundary_ = accums_.front().period;
 }
 
 const std::vector<RawWindow> &

@@ -1,6 +1,6 @@
 /**
  * @file
- * Single-pass feature extraction: a TraceSink that drives the
+ * Single-pass feature extraction: a trace sink that drives the
  * monitoring-unit model and slices the stream into collection
  * windows for any number of periods simultaneously.
  */
@@ -8,6 +8,7 @@
 #ifndef RHMD_FEATURES_EXTRACTOR_HH
 #define RHMD_FEATURES_EXTRACTOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,7 +28,7 @@ namespace rhmd::features
  * flagged truncated (short programs and traces whose length is not a
  * multiple of the period otherwise lose their tail data).
  */
-class FeatureSession : public trace::TraceSink
+class FeatureSession
 {
   public:
     /**
@@ -38,7 +39,13 @@ class FeatureSession : public trace::TraceSink
     explicit FeatureSession(std::vector<std::uint32_t> periods,
                             const uarch::PmuConfig &pmu = {});
 
-    void consume(const trace::DynInst &inst) override;
+    /**
+     * Account one committed instruction (the trace-sink entry point
+     * trace::Executor::run calls). Inline with the monitor and CPI
+     * steps it runs, so the simulation loop calls out only on a
+     * cache miss or at a window boundary.
+     */
+    [[gnu::always_inline]] void consume(const trace::DynInst &inst);
 
     /**
      * Flush the in-progress partial window of every period as a
@@ -76,16 +83,53 @@ class FeatureSession : public trace::TraceSink
         std::uint64_t injectedInWindow = 0;
     };
 
+    /**
+     * Add the segment's counts to every period's window, close the
+     * windows that are full, and start the next segment.
+     */
+    void closeSegment();
+
     /** Finalize the in-progress window of @p accum and push it. */
     void closeWindow(PeriodAccum &accum, bool truncated);
 
     uarch::PerfMonitor monitor_;
     uarch::CpiModel cpi_;
     std::vector<PeriodAccum> accums_;
+
+    /**
+     * Histograms of the current segment: the instructions since the
+     * last window boundary of any period. No period's boundary falls
+     * inside a segment, so each instruction is counted once here and
+     * folded into every period's window when the segment closes.
+     */
+    RawWindow segment_;
+    std::uint64_t segmentInjected_ = 0;
+    std::uint64_t segmentLength_ = 0;  ///< segment's length when full
+    std::uint64_t untilBoundary_ = 0;  ///< instructions left in it
+
     bool haveLastAddr_ = false;
     std::uint64_t lastAddr_ = 0;
     std::uint64_t totalInsts_ = 0;
 };
+
+inline void
+FeatureSession::consume(const trace::DynInst &inst)
+{
+    const uarch::StepOutcome outcome = monitor_.step(inst);
+    cpi_.account(inst, outcome);
+    ++totalInsts_;
+
+    ++segment_.opcodeCounts[static_cast<std::size_t>(inst.op)];
+    if (inst.isLoad || inst.isStore) {
+        if (haveLastAddr_)
+            ++segment_.memDeltaBins[memDeltaBin(lastAddr_, inst.addr)];
+        lastAddr_ = inst.addr;
+        haveLastAddr_ = true;
+    }
+    segmentInjected_ += inst.injected;
+    if (--untilBoundary_ == 0) [[unlikely]]
+        closeSegment();
+}
 
 } // namespace rhmd::features
 

@@ -14,6 +14,8 @@
 #define RHMD_FEATURES_WINDOW_HH
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "trace/isa.hh"
@@ -30,7 +32,15 @@ constexpr std::size_t kNumMemBins = 20;
  * bin 0 is delta 0, bin k covers [2^(k-1), 2^k) for k >= 1, with the
  * final bin absorbing everything larger.
  */
-std::size_t memDeltaBin(std::uint64_t prev_addr, std::uint64_t addr);
+inline std::size_t
+memDeltaBin(std::uint64_t prev_addr, std::uint64_t addr)
+{
+    const std::uint64_t delta =
+        addr > prev_addr ? addr - prev_addr : prev_addr - addr;
+    // bit_width(0) == 0 is bin 0; otherwise 1 + floor(log2(delta)).
+    const std::size_t bin = static_cast<std::size_t>(std::bit_width(delta));
+    return bin < kNumMemBins ? bin : kNumMemBins - 1;
+}
 
 /** Raw measurements of one collection window. */
 struct RawWindow

@@ -27,12 +27,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -43,46 +37,10 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(s);
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random bits scaled into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double
 Rng::uniform(double lo, double hi)
 {
     return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t
-Rng::below(std::uint64_t n)
-{
-    panic_if(n == 0, "Rng::below(0) is undefined");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - n) % n;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % n;
-    }
 }
 
 std::int64_t
@@ -91,16 +49,6 @@ Rng::range(std::int64_t lo, std::int64_t hi)
     panic_if(lo > hi, "Rng::range requires lo <= hi");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(below(span));
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 double

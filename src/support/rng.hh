@@ -15,8 +15,11 @@
 #define RHMD_SUPPORT_RNG_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "support/logging.hh"
 
 namespace rhmd
 {
@@ -42,7 +45,10 @@ class Rng
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi);
 
-    /** Uniform integer in [0, n). Requires n > 0; unbiased. */
+    /**
+     * Uniform integer in [0, n). Requires n > 0; unbiased. A power
+     * of two takes one draw; other n reject draws below 2^64 mod n.
+     */
     std::uint64_t below(std::uint64_t n);
 
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
@@ -119,6 +125,59 @@ class SplitRng
   private:
     std::uint64_t root_;
 };
+
+// The per-draw members are defined here so the simulation loop
+// (trace::Executor::run) inlines them.
+
+inline std::uint64_t
+Rng::next()
+{
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 random bits scaled into [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline std::uint64_t
+Rng::below(std::uint64_t n)
+{
+    panic_if(n == 0, "Rng::below(0) is undefined");
+    // A power of two divides 2^64, so the rejection threshold below
+    // is 0, every draw is accepted, and r % n is the low bits of r.
+    if ((n & (n - 1)) == 0)
+        return next() & (n - 1);
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t threshold = (0 - n) % n;
+    for (;;) {
+        const std::uint64_t r = next();
+        if (r >= threshold)
+            return r % n;
+    }
+}
+
+inline bool
+Rng::chance(double p)
+{
+    if (p <= 0.0)
+        return false;
+    if (p >= 1.0)
+        return true;
+    return uniform() < p;
+}
 
 } // namespace rhmd
 

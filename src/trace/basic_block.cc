@@ -10,28 +10,10 @@
 namespace rhmd::trace
 {
 
-OpClass
-terminatorOpClass(TermKind kind)
+void
+detail::badTermKind()
 {
-    switch (kind) {
-      case TermKind::CondBranch:
-        return OpClass::BranchCond;
-      case TermKind::Jump:
-        return OpClass::BranchUncond;
-      case TermKind::Call:
-        return OpClass::Call;
-      case TermKind::Ret:
-        return OpClass::Ret;
-      case TermKind::Exit:
-        return OpClass::SystemOp;
-    }
     rhmd_panic("unreachable terminator kind");
-}
-
-OpClass
-BasicBlock::terminatorOp() const
-{
-    return terminatorOpClass(term.kind);
 }
 
 std::uint64_t

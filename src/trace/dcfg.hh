@@ -28,7 +28,7 @@ namespace rhmd::trace
  * control-flow instructions; the recovered nodes correspond to the
  * executed static basic blocks of the traced program.
  */
-class DcfgBuilder : public TraceSink
+class DcfgBuilder
 {
   public:
     /** A recovered basic block. */
@@ -42,7 +42,8 @@ class DcfgBuilder : public TraceSink
         bool endsInRet = false;
     };
 
-    void consume(const DynInst &inst) override;
+    /** Trace-sink entry point: observe one committed instruction. */
+    void consume(const DynInst &inst);
 
     /** Recovered nodes keyed by block start pc. */
     const std::unordered_map<std::uint64_t, Node> &nodes() const

@@ -5,10 +5,7 @@
 
 #include "trace/execution.hh"
 
-#include <algorithm>
 #include <cmath>
-
-#include "support/logging.hh"
 
 namespace rhmd::trace
 {
@@ -26,24 +23,36 @@ Executor::Executor(const Program &program, std::uint64_t seed,
     if (phaseModulation_) {
         phaseLen_ = 6000 + rng_.below(18000);
         phaseCountdown_ = phaseLen_;
+    } else {
+        phaseCountdown_ = ~std::uint64_t{0};
     }
+    // Phase 0 has no bias (gamma 1), so every memo starts valid with
+    // the block's own taken probability.
+    blockBase_.reserve(program_.functions.size());
+    for (const Function &function : program_.functions) {
+        blockBase_.push_back(static_cast<std::uint32_t>(bias_.size()));
+        for (const BasicBlock &bb : function.blocks)
+            bias_.push_back({bb.term.takenProb, 0});
+    }
+    callStack_.reserve(kMaxCallDepth);
 }
 
 void
-Executor::tickPhase()
+Executor::rollPhase()
 {
-    if (!phaseModulation_)
+    if (!phaseModulation_) {
+        phaseCountdown_ = ~std::uint64_t{0};
         return;
-    if (--phaseCountdown_ == 0) {
-        phaseCountdown_ = phaseLen_;
-        // Lognormal bias exponent around 1: gamma < 1 deepens loops
-        // (taken probabilities rise), gamma > 1 flattens them.
-        phaseGamma_ = std::exp(rng_.gaussian() * 0.55);
-        // A new phase usually means the program moved on to another
-        // task: re-dispatch control to a fresh function at the next
-        // block boundary.
-        phaseJumpPending_ = true;
     }
+    phaseCountdown_ = phaseLen_;
+    ++phase_;
+    // Lognormal bias exponent around 1: gamma < 1 deepens loops
+    // (taken probabilities rise), gamma > 1 flattens them.
+    phaseGamma_ = std::exp(rng_.gaussian() * 0.55);
+    // A new phase usually means the program moved on to another
+    // task: re-dispatch control to a fresh function at the next
+    // block boundary.
+    phaseJumpPending_ = true;
 }
 
 double
@@ -54,216 +63,6 @@ Executor::biasedTakenProb(double p) const
     if (p <= 0.0 || p >= 1.0)
         return p;
     return std::pow(p, phaseGamma_);
-}
-
-std::uint64_t
-Executor::effectiveAddr(const MemRef &mem)
-{
-    std::uint64_t addr = 0;
-    switch (mem.pattern) {
-      case AddrPattern::Stride: {
-        const MemRegion &region = program_.regions[mem.region];
-        const std::uint64_t offset = cursors_[mem.region] % region.size;
-        cursors_[mem.region] += static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(mem.stride));
-        addr = region.base + offset;
-        break;
-      }
-      case AddrPattern::RandomInRegion: {
-        const MemRegion &region = program_.regions[mem.region];
-        const std::uint64_t window =
-            std::min<std::uint64_t>(mem.span, region.size);
-        addr = region.base + rng_.below(window);
-        break;
-      }
-      case AddrPattern::StackSlot: {
-        addr = stackPtr_ + static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(mem.stride));
-        // Keep frame-local references inside the stack region.
-        const MemRegion &stack = program_.regions[0];
-        if (addr < stack.base || addr >= stack.base + stack.size - 16) {
-            addr = stack.base +
-                   (addr - stack.base) % (stack.size - 16);
-        }
-        break;
-      }
-    }
-    // Align to the access size, then apply the (intentional)
-    // misalignment offset, so the unaligned-access rate is a profile
-    // property rather than an artefact of stride/size interactions.
-    const std::uint64_t align = std::max<std::uint8_t>(mem.accessSize, 1);
-    addr &= ~(align - 1);
-    return addr + mem.alignOffset;
-}
-
-void
-Executor::run(std::uint64_t max_insts, TraceSink &sink)
-{
-    std::uint32_t fn = 0;
-    std::uint32_t block = 0;
-    std::uint64_t emitted = 0;
-
-    const MemRegion &stack_region = program_.regions[0];
-    const std::uint64_t stack_top = stack_region.base +
-                                    stack_region.size - 64;
-    const std::uint64_t stack_limit = stack_region.base + 4096;
-
-    auto restart = [&] {
-        fn = 0;
-        block = 0;
-        callStack_.clear();
-        stackPtr_ = stack_top;
-    };
-
-    while (emitted < max_insts) {
-        const BasicBlock &bb = program_.functions[fn].blocks[block];
-        std::uint64_t pc = bb.address;
-
-        for (const StaticInst &sinst : bb.body) {
-            const OpInfo &info = opInfo(sinst.op);
-            DynInst dyn;
-            dyn.pc = pc;
-            dyn.op = sinst.op;
-            dyn.size = info.bytes;
-            dyn.injected = sinst.injected;
-            pc += info.bytes;
-
-            if (info.isLoad || info.isStore) {
-                dyn.isLoad = info.isLoad;
-                dyn.isStore = info.isStore;
-                if (sinst.op == OpClass::Push) {
-                    stackPtr_ -= 8;
-                    if (stackPtr_ < stack_limit)
-                        stackPtr_ = stack_top;
-                    dyn.addr = stackPtr_;
-                    dyn.accessSize = 8;
-                } else if (sinst.op == OpClass::Pop) {
-                    dyn.addr = stackPtr_;
-                    dyn.accessSize = 8;
-                    stackPtr_ += 8;
-                    if (stackPtr_ > stack_top)
-                        stackPtr_ = stack_top;
-                } else {
-                    dyn.addr = effectiveAddr(sinst.mem);
-                    dyn.accessSize = sinst.mem.accessSize;
-                }
-            }
-
-            sink.consume(dyn);
-            tickPhase();
-            if (++emitted >= max_insts)
-                return;
-        }
-
-        // Terminator.
-        const Terminator &term = bb.term;
-        const OpClass top = bb.terminatorOp();
-        const OpInfo &tinfo = opInfo(top);
-        DynInst dyn;
-        dyn.pc = pc;
-        dyn.op = top;
-        dyn.size = tinfo.bytes;
-
-        const Function &cur_fn = program_.functions[fn];
-        std::uint32_t next_fn = fn;
-        std::uint32_t next_block = block;
-        bool do_restart = false;
-
-        switch (term.kind) {
-          case TermKind::CondBranch: {
-            dyn.isBranch = true;
-            dyn.isCondBranch = true;
-            dyn.taken = rng_.chance(biasedTakenProb(term.takenProb));
-            const std::uint32_t dest =
-                dyn.taken ? term.takenTarget : term.fallTarget;
-            dyn.target = cur_fn.blocks[dest].address;
-            next_block = dest;
-            break;
-          }
-          case TermKind::Jump: {
-            dyn.isBranch = true;
-            dyn.taken = true;
-            dyn.target = cur_fn.blocks[term.takenTarget].address;
-            next_block = term.takenTarget;
-            break;
-          }
-          case TermKind::Call: {
-            dyn.isBranch = true;
-            dyn.taken = true;
-            // The call pushes the return address.
-            stackPtr_ -= 8;
-            if (stackPtr_ < stack_limit)
-                stackPtr_ = stack_top;
-            dyn.isStore = true;
-            dyn.addr = stackPtr_;
-            dyn.accessSize = 8;
-            if (callStack_.size() < kMaxCallDepth) {
-                callStack_.push_back({fn, term.fallTarget});
-                next_fn = term.callee;
-                next_block = 0;
-                dyn.target =
-                    program_.functions[next_fn].blocks[0].address;
-            } else {
-                // Depth cap: treat as an immediately-returning call.
-                stackPtr_ += 8;
-                next_block = term.fallTarget;
-                dyn.target = cur_fn.blocks[next_block].address;
-            }
-            break;
-          }
-          case TermKind::Ret: {
-            dyn.isBranch = true;
-            dyn.taken = true;
-            dyn.isLoad = true;
-            dyn.addr = stackPtr_;
-            dyn.accessSize = 8;
-            stackPtr_ += 8;
-            if (stackPtr_ > stack_top)
-                stackPtr_ = stack_top;
-            if (callStack_.empty()) {
-                do_restart = true;
-                dyn.target = program_.functions[0].blocks[0].address;
-            } else {
-                const Frame frame = callStack_.back();
-                callStack_.pop_back();
-                next_fn = frame.function;
-                next_block = frame.resumeBlock;
-                dyn.target = program_.functions[next_fn]
-                                 .blocks[next_block].address;
-            }
-            break;
-          }
-          case TermKind::Exit: {
-            // Modelled as a syscall; control restarts at the entry.
-            do_restart = true;
-            dyn.isBranch = true;
-            dyn.taken = true;
-            dyn.target = program_.functions[0].blocks[0].address;
-            break;
-          }
-        }
-
-        sink.consume(dyn);
-        tickPhase();
-        ++emitted;
-
-        if (do_restart) {
-            restart();
-        } else {
-            fn = next_fn;
-            block = next_block;
-        }
-
-        if (phaseJumpPending_) {
-            // Task switch: unwind and enter a random function.
-            phaseJumpPending_ = false;
-            callStack_.clear();
-            stackPtr_ = stack_top;
-            fn = static_cast<std::uint32_t>(
-                rng_.below(program_.functions.size()));
-            block = 0;
-        }
-    }
 }
 
 } // namespace rhmd::trace

@@ -180,11 +180,11 @@ namespace
 {
 
 /** Counts injected vs original committed instructions. */
-class OverheadSink : public TraceSink
+class OverheadSink
 {
   public:
     void
-    consume(const DynInst &inst) override
+    consume(const DynInst &inst)
     {
         ++total_;
         if (!inst.injected)

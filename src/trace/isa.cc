@@ -15,48 +15,6 @@ namespace rhmd::trace
 namespace
 {
 
-//                              name       ld     st     cbr    uctl   bytes lat src dst
-constexpr std::array<OpInfo, kNumOpClasses> opTable{{
-    /* IntAdd */       {"add",       false, false, false, false, 3, 1,  2, true},
-    /* IntSub */       {"sub",       false, false, false, false, 3, 1,  2, true},
-    /* IntMul */       {"imul",      false, false, false, false, 4, 3,  2, true},
-    /* IntDiv */       {"idiv",      false, false, false, false, 3, 20, 2, true},
-    /* IntCmp */       {"cmp",       false, false, false, false, 3, 1,  2, false},
-    /* IntTest */      {"test",      false, false, false, false, 3, 1,  2, false},
-    /* LogicAnd */     {"and",       false, false, false, false, 3, 1,  2, true},
-    /* LogicOr */      {"or",        false, false, false, false, 3, 1,  2, true},
-    /* LogicXor */     {"xor",       false, false, false, false, 3, 1,  2, true},
-    /* ShiftLeft */    {"shl",       false, false, false, false, 3, 1,  2, true},
-    /* ShiftRight */   {"shr",       false, false, false, false, 3, 1,  2, true},
-    /* Rotate */       {"rol",       false, false, false, false, 3, 1,  2, true},
-    /* MovRegReg */    {"mov_rr",    false, false, false, false, 2, 1,  1, true},
-    /* MovImm */       {"mov_imm",   false, false, false, false, 5, 1,  0, true},
-    /* Lea */          {"lea",       false, false, false, false, 4, 1,  1, true},
-    // Load/Store read their address base through src1; Store's data
-    // operand is src2.
-    /* Load */         {"load",      true,  false, false, false, 4, 4,  1, true},
-    /* Store */        {"store",     false, true,  false, false, 4, 1,  2, false},
-    /* Push */         {"push",      false, true,  false, false, 1, 1,  1, false},
-    /* Pop */          {"pop",       true,  false, false, false, 1, 1,  0, true},
-    /* BranchCond */   {"jcc",       false, false, true,  false, 2, 1,  2, false},
-    /* BranchUncond */ {"jmp",       false, false, false, true,  2, 1,  0, false},
-    /* Call */         {"call",      false, true,  false, true,  5, 2,  0, false},
-    /* Ret */          {"ret",       true,  false, false, true,  1, 2,  1, false},
-    /* Nop */          {"nop",       false, false, false, false, 1, 1,  0, false},
-    /* FpAdd */        {"fadd",      false, false, false, false, 4, 3,  2, true},
-    /* FpMul */        {"fmul",      false, false, false, false, 4, 5,  2, true},
-    /* FpDiv */        {"fdiv",      false, false, false, false, 4, 15, 2, true},
-    /* SseVec */       {"sse_vec",   false, false, false, false, 5, 2,  2, true},
-    /* StringOp */     {"rep_movs",  true,  true,  false, false, 2, 4,  2, true},
-    /* AesRound */     {"aesenc",    false, false, false, false, 5, 4,  2, true},
-    /* Xchg */         {"xchg",      true,  true,  false, false, 3, 8,  2, true},
-    // SystemOp is not control flow for CFG purposes: syscalls resume
-    // at the next instruction. The Exit terminator tags its dynamic
-    // instance as a branch instead. It reads the syscall number and
-    // writes the kernel's return value.
-    /* SystemOp */     {"syscall",   false, false, false, false, 2, 30, 1, true},
-}};
-
 constexpr std::array<std::string_view, kNumRegs> regTable{
     "r0", "r1", "r2",  "r3",  "r4", "r5", "r6", "r7",
     "r8", "r9", "r10", "r11", "t0", "t1", "sp",
@@ -77,12 +35,10 @@ isScratchReg(RegId reg)
     return reg == kRegScratch0 || reg == kRegScratch1;
 }
 
-const OpInfo &
-opInfo(OpClass op)
+void
+detail::badOpClass(std::size_t index)
 {
-    const auto index = static_cast<std::size_t>(op);
-    panic_if(index >= kNumOpClasses, "bad OpClass index ", index);
-    return opTable[index];
+    rhmd_panic("bad OpClass index ", index);
 }
 
 std::string_view

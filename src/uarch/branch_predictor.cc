@@ -1,6 +1,6 @@
 /**
  * @file
- * Branch predictor implementations.
+ * Branch predictor construction and reset.
  */
 
 #include "uarch/branch_predictor.hh"
@@ -10,93 +10,20 @@
 namespace rhmd::uarch
 {
 
-namespace
-{
-
-/** Saturating 2-bit counter update. */
-void
-train(std::uint8_t &counter, bool taken)
-{
-    if (taken) {
-        if (counter < 3)
-            ++counter;
-    } else {
-        if (counter > 0)
-            --counter;
-    }
-}
-
-} // namespace
-
-BimodalPredictor::BimodalPredictor(std::uint32_t table_bits)
-    : tableBits_(table_bits)
-{
-    fatal_if(table_bits == 0 || table_bits > 24,
-             "unreasonable bimodal table size");
-    counters_.assign(std::size_t{1} << tableBits_, 1);  // weakly NT
-}
-
-std::size_t
-BimodalPredictor::index(std::uint64_t pc) const
-{
-    // Drop the low 2 bits (branch alignment) before indexing.
-    return (pc >> 2) & ((std::size_t{1} << tableBits_) - 1);
-}
-
-bool
-BimodalPredictor::predict(std::uint64_t pc) const
-{
-    return counters_[index(pc)] >= 2;
-}
-
-void
-BimodalPredictor::update(std::uint64_t pc, bool taken)
-{
-    train(counters_[index(pc)], taken);
-}
-
-void
-BimodalPredictor::reset()
-{
-    counters_.assign(counters_.size(), 1);
-}
-
-GsharePredictor::GsharePredictor(std::uint32_t table_bits,
+BranchPredictor::BranchPredictor(std::uint32_t table_bits,
                                  std::uint32_t history_bits)
-    : tableBits_(table_bits), historyBits_(history_bits)
 {
     fatal_if(table_bits == 0 || table_bits > 24,
-             "unreasonable gshare table size");
+             "unreasonable branch predictor table size");
     fatal_if(history_bits > table_bits,
-             "gshare history cannot exceed table index width");
-    counters_.assign(std::size_t{1} << tableBits_, 1);
-}
-
-std::size_t
-GsharePredictor::index(std::uint64_t pc) const
-{
-    const std::uint64_t mask = (std::uint64_t{1} << tableBits_) - 1;
-    const std::uint64_t hist_mask =
-        (std::uint64_t{1} << historyBits_) - 1;
-    return static_cast<std::size_t>(
-        ((pc >> 2) ^ (history_ & hist_mask)) & mask);
-}
-
-bool
-GsharePredictor::predict(std::uint64_t pc) const
-{
-    return counters_[index(pc)] >= 2;
+             "branch history cannot exceed table index width");
+    tableMask_ = (std::uint64_t{1} << table_bits) - 1;
+    historyMask_ = (std::uint64_t{1} << history_bits) - 1;
+    counters_.assign(std::size_t{1} << table_bits, 1);  // weakly NT
 }
 
 void
-GsharePredictor::update(std::uint64_t pc, bool taken)
-{
-    train(counters_[index(pc)], taken);
-    history_ = (history_ << 1) | (taken ? 1 : 0);
-}
-
-void
-GsharePredictor::reset()
+BranchPredictor::reset()
 {
     counters_.assign(counters_.size(), 1);
     history_ = 0;

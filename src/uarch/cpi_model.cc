@@ -13,28 +13,13 @@ namespace rhmd::uarch
 CpiModel::CpiModel(const CpiConfig &config)
     : config_(config)
 {
-}
-
-void
-CpiModel::account(const trace::DynInst &inst, const StepOutcome &outcome)
-{
-    ++instructions_;
-    const auto &info = trace::opInfo(inst.op);
-
-    // Issue-limited baseline; long-latency ops are modelled as
-    // partially overlapped (half their latency exposed).
     const double base = 1.0 / config_.issueWidth;
-    const double latency =
-        info.latency > 2 ? static_cast<double>(info.latency) * 0.5 : 0.0;
-    double stall = 0.0;
-    stall += outcome.dcacheMisses * config_.dcacheMissPenalty;
-    stall += outcome.icacheMisses * config_.icacheMissPenalty;
-    if (outcome.mispredicted)
-        stall += config_.mispredictPenalty;
-    if (outcome.unaligned)
-        stall += config_.unalignedPenalty;
-
-    cycles_ += std::max(base, latency) + stall;
+    for (std::size_t op = 0; op < trace::kNumOpClasses; ++op) {
+        const auto &info = trace::opInfo(trace::opFromIndex(op));
+        const double latency = info.latency > 2
+            ? static_cast<double>(info.latency) * 0.5 : 0.0;
+        opCycles_[op] = std::max(base, latency);
+    }
 }
 
 double

@@ -47,77 +47,11 @@ eventName(Event event)
 }
 
 PerfMonitor::PerfMonitor(const PmuConfig &config)
-    : config_(config),
-      icache_(config.icache),
+    : icache_(config.icache),
       dcache_(config.dcache),
-      bimodal_(config.predictorTableBits),
-      gshare_(config.predictorTableBits, config.predictorTableBits)
+      predictor_(config.predictorTableBits,
+                 config.useGshare ? config.predictorTableBits : 0)
 {
-    counts_.fill(0);
-}
-
-void
-PerfMonitor::bump(Event event, std::uint64_t n)
-{
-    counts_[static_cast<std::size_t>(event)] += n;
-}
-
-StepOutcome
-PerfMonitor::step(const trace::DynInst &inst)
-{
-    StepOutcome outcome;
-
-    // Instruction fetch.
-    outcome.icacheMisses = icache_.access(inst.pc, inst.size);
-    bump(Event::ICacheMisses, outcome.icacheMisses);
-
-    // Data access.
-    if (inst.isLoad || inst.isStore) {
-        if (inst.isLoad)
-            bump(Event::Loads);
-        if (inst.isStore)
-            bump(Event::Stores);
-        outcome.dcacheMisses = dcache_.access(inst.addr, inst.accessSize);
-        bump(Event::DCacheMisses, outcome.dcacheMisses);
-        if (inst.accessSize > 1 &&
-            (inst.addr % inst.accessSize) != 0) {
-            outcome.unaligned = true;
-            bump(Event::Unaligned);
-        }
-    }
-
-    // Control flow.
-    if (inst.isCondBranch) {
-        bump(Event::CondBranches);
-        BranchPredictor &pred = config_.useGshare
-            ? static_cast<BranchPredictor &>(gshare_)
-            : static_cast<BranchPredictor &>(bimodal_);
-        outcome.mispredicted = pred.predict(inst.pc) != inst.taken;
-        if (outcome.mispredicted)
-            bump(Event::Mispredicts);
-        pred.update(inst.pc, inst.taken);
-    }
-    if (inst.isBranch && inst.taken)
-        bump(Event::TakenBranches);
-
-    switch (inst.op) {
-      case trace::OpClass::Call:
-        bump(Event::Calls);
-        break;
-      case trace::OpClass::Ret:
-        bump(Event::Returns);
-        break;
-      case trace::OpClass::SystemOp:
-        bump(Event::Syscalls);
-        break;
-      case trace::OpClass::Xchg:
-        bump(Event::Atomics);
-        break;
-      default:
-        break;
-    }
-
-    return outcome;
 }
 
 void
@@ -126,8 +60,7 @@ PerfMonitor::reset()
     counts_.fill(0);
     icache_.reset();
     dcache_.reset();
-    bimodal_.reset();
-    gshare_.reset();
+    predictor_.reset();
 }
 
 } // namespace rhmd::uarch

@@ -14,7 +14,7 @@ using namespace rhmd::uarch;
 
 TEST(Bimodal, LearnsAlwaysTaken)
 {
-    BimodalPredictor pred(10);
+    BranchPredictor pred(10);
     const std::uint64_t pc = 0x400100;
     for (int i = 0; i < 4; ++i)
         pred.update(pc, true);
@@ -23,7 +23,7 @@ TEST(Bimodal, LearnsAlwaysTaken)
 
 TEST(Bimodal, LearnsAlwaysNotTaken)
 {
-    BimodalPredictor pred(10);
+    BranchPredictor pred(10);
     const std::uint64_t pc = 0x400100;
     // Initial state is weakly not-taken.
     EXPECT_FALSE(pred.predict(pc));
@@ -34,7 +34,7 @@ TEST(Bimodal, LearnsAlwaysNotTaken)
 
 TEST(Bimodal, HysteresisSurvivesOneFlip)
 {
-    BimodalPredictor pred(10);
+    BranchPredictor pred(10);
     const std::uint64_t pc = 0x400200;
     for (int i = 0; i < 4; ++i)
         pred.update(pc, true);  // saturate taken
@@ -47,7 +47,7 @@ TEST(Bimodal, HysteresisSurvivesOneFlip)
 
 TEST(Bimodal, DistinctPcsIndependent)
 {
-    BimodalPredictor pred(12);
+    BranchPredictor pred(12);
     const std::uint64_t a = 0x400100;
     const std::uint64_t b = 0x400104;  // different index after >>2
     for (int i = 0; i < 4; ++i) {
@@ -60,7 +60,7 @@ TEST(Bimodal, DistinctPcsIndependent)
 
 TEST(Bimodal, ResetRestoresColdState)
 {
-    BimodalPredictor pred(10);
+    BranchPredictor pred(10);
     const std::uint64_t pc = 0x400300;
     for (int i = 0; i < 4; ++i)
         pred.update(pc, true);
@@ -70,18 +70,18 @@ TEST(Bimodal, ResetRestoresColdState)
 
 TEST(Bimodal, RejectsBadConfig)
 {
-    EXPECT_EXIT(BimodalPredictor(0), ::testing::ExitedWithCode(1),
-                "bimodal");
-    EXPECT_EXIT(BimodalPredictor(30), ::testing::ExitedWithCode(1),
-                "bimodal");
+    EXPECT_EXIT(BranchPredictor(0), ::testing::ExitedWithCode(1),
+                "table size");
+    EXPECT_EXIT(BranchPredictor(30), ::testing::ExitedWithCode(1),
+                "table size");
 }
 
 TEST(Gshare, LearnsAlternatingPatternBimodalCannot)
 {
     // A strictly alternating branch: bimodal oscillates around 50%,
     // gshare learns it via history.
-    GsharePredictor gshare(12, 8);
-    BimodalPredictor bimodal(12);
+    BranchPredictor gshare(12, 8);
+    BranchPredictor bimodal(12);
     const std::uint64_t pc = 0x400400;
 
     int gshare_correct = 0;
@@ -102,7 +102,7 @@ TEST(Gshare, LearnsAlternatingPatternBimodalCannot)
 
 TEST(Gshare, LearnsPeriodicPattern)
 {
-    GsharePredictor gshare(12, 10);
+    BranchPredictor gshare(12, 10);
     const std::uint64_t pc = 0x400500;
     // Pattern: T T T N repeating (loop of trip count 4).
     int correct = 0;
@@ -117,7 +117,7 @@ TEST(Gshare, LearnsPeriodicPattern)
 
 TEST(Gshare, ResetClearsHistory)
 {
-    GsharePredictor gshare(10, 8);
+    BranchPredictor gshare(10, 8);
     const std::uint64_t pc = 0x400600;
     for (int i = 0; i < 100; ++i)
         gshare.update(pc, true);
@@ -127,7 +127,7 @@ TEST(Gshare, ResetClearsHistory)
 
 TEST(Gshare, RejectsHistoryLongerThanTable)
 {
-    EXPECT_EXIT(GsharePredictor(8, 12), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(BranchPredictor(8, 12), ::testing::ExitedWithCode(1),
                 "history");
 }
 
@@ -138,7 +138,7 @@ class PredictorRandomSweep : public ::testing::TestWithParam<int>
 
 TEST_P(PredictorRandomSweep, RandomBranchesNearChance)
 {
-    GsharePredictor pred(12, 12);
+    BranchPredictor pred(12, 12);
     std::uint64_t state = GetParam() * 0x9e3779b97f4a7c15ULL + 1;
     auto next_bit = [&state] {
         state ^= state << 13;

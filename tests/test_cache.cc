@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
+#include "support/rng.hh"
 #include "uarch/cache.hh"
 
 namespace
@@ -126,7 +130,181 @@ TEST(Cache, RejectsBadGeometry)
                 "associativity");
     EXPECT_EXIT(Cache({96, 2, 32}), ::testing::ExitedWithCode(1),
                 "multiple");
+    // 1-byte lines: a tag could then be all ones, which marks an
+    // invalid way.
+    EXPECT_EXIT(Cache({64, 4, 1}), ::testing::ExitedWithCode(1),
+                "at least 2 bytes");
 }
+
+/**
+ * The timestamp-LRU cache Cache replaced, kept verbatim as the
+ * reference: every way records its last-use tick, a miss fills the
+ * last invalid way or else the way with the oldest tick.
+ */
+class TimestampLruCache
+{
+  public:
+    explicit TimestampLruCache(const CacheConfig &config)
+        : config_(config),
+          numSets_(config.sizeBytes / config.lineBytes / config.assoc),
+          lineShift_(static_cast<std::uint32_t>(
+              std::countr_zero(config.lineBytes))),
+          ways_(static_cast<std::size_t>(numSets_) * config.assoc)
+    {
+    }
+
+    bool
+    accessLine(std::uint64_t addr)
+    {
+        ++tick_;
+        const std::uint64_t line = addr >> lineShift_;
+        const std::uint32_t set =
+            static_cast<std::uint32_t>(line & (numSets_ - 1));
+        const std::uint64_t tag = line >> std::countr_zero(numSets_);
+
+        Way *base = &ways_[static_cast<std::size_t>(set) * config_.assoc];
+        Way *victim = base;
+        for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+            Way &way = base[w];
+            if (way.valid && way.tag == tag) {
+                way.lastUse = tick_;
+                ++hits_;
+                return true;
+            }
+            if (!way.valid) {
+                victim = &way;
+            } else if (victim->valid && way.lastUse < victim->lastUse) {
+                victim = &way;
+            }
+        }
+
+        ++misses_;
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lastUse = tick_;
+        return false;
+    }
+
+    std::uint32_t
+    access(std::uint64_t addr, std::uint32_t size)
+    {
+        if (size == 0)
+            size = 1;
+        const std::uint64_t first = addr >> lineShift_;
+        const std::uint64_t last = (addr + size - 1) >> lineShift_;
+        std::uint32_t line_misses = 0;
+        for (std::uint64_t line = first; line <= last; ++line) {
+            if (!accessLine(line << lineShift_))
+                ++line_misses;
+        }
+        return line_misses;
+    }
+
+    void
+    reset()
+    {
+        for (Way &way : ways_)
+            way = {};
+        tick_ = 0;
+        hits_ = 0;
+        misses_ = 0;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    struct Way
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    CacheConfig config_;
+    std::uint32_t numSets_;
+    std::uint32_t lineShift_;
+    std::vector<Way> ways_;
+    std::uint64_t tick_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+class CacheDifferential : public ::testing::TestWithParam<CacheConfig>
+{
+};
+
+/**
+ * Rank LRU with the same-line fast path against the timestamp
+ * reference: 1M seeded accesses per geometry in bursts of
+ * sequential, strided and random addresses over working sets of
+ * 0.5-4x the capacity, with sizes 0-100 bytes at offsets that cross
+ * lines, direct line probes, and a reset every 300k accesses.
+ */
+TEST_P(CacheDifferential, MatchesTimestampLruAccessForAccess)
+{
+    const CacheConfig config = GetParam();
+    Cache cache(config);
+    TimestampLruCache reference(config);
+    rhmd::Rng rng(0xcace + config.sizeBytes + config.assoc);
+
+    constexpr std::uint64_t kAccesses = 1'000'000;
+    const std::uint32_t sizes[] = {0, 1, 8, 16, 100};
+    const double scales[] = {0.5, 1.0, 2.0, 4.0};
+    std::uint64_t done = 0;
+    while (done < kAccesses) {
+        const auto working_set = static_cast<std::uint64_t>(
+            scales[rng.below(4)] * config.sizeBytes);
+        const std::uint64_t base = rng.below(1ULL << 40);
+        const std::uint64_t pattern = rng.below(3);
+        const std::uint64_t stride =
+            pattern == 0 ? 1 + rng.below(24) : 8 + rng.below(512);
+        const std::uint64_t burst = 1 + rng.below(4000);
+        std::uint64_t cursor = rng.below(working_set);
+        for (std::uint64_t i = 0; i < burst && done < kAccesses;
+             ++i, ++done) {
+            if (done % 300'000 == 299'999) {
+                cache.reset();
+                reference.reset();
+            }
+            std::uint64_t offset = cursor;
+            if (pattern == 2)
+                offset = rng.below(working_set);
+            cursor = (cursor + stride) % working_set;
+            const std::uint64_t addr = base + offset;
+            if (rng.below(16) == 0) {
+                const bool hit = cache.accessLine(addr);
+                if (hit != reference.accessLine(addr)) {
+                    ADD_FAILURE() << "line probe " << done << " at 0x"
+                                  << std::hex << addr;
+                    return;
+                }
+                continue;
+            }
+            const std::uint32_t size = sizes[rng.below(5)];
+            const std::uint32_t misses = cache.access(addr, size);
+            const std::uint32_t expected = reference.access(addr, size);
+            if (misses != expected) {
+                ADD_FAILURE() << "access " << done << " at 0x" << std::hex
+                              << addr << std::dec << " size " << size
+                              << ": " << misses << " misses, reference "
+                              << expected;
+                return;
+            }
+        }
+    }
+    EXPECT_EQ(cache.hits(), reference.hits());
+    EXPECT_EQ(cache.misses(), reference.misses());
+    EXPECT_GT(cache.misses(), 0u);
+    EXPECT_GT(cache.hits(), cache.misses());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(CacheConfig{32 * 1024, 8, 64},
+                      CacheConfig{4 * 1024, 1, 64},
+                      CacheConfig{8 * 1024, 2, 32},
+                      CacheConfig{64 * 1024, 16, 64}));
 
 /** Property sweep over geometries. */
 struct Geometry

@@ -16,10 +16,10 @@ namespace
 using namespace rhmd::trace;
 
 /** Sink collecting everything. */
-class VectorSink : public TraceSink
+class VectorSink
 {
   public:
-    void consume(const DynInst &inst) override { insts.push_back(inst); }
+    void consume(const DynInst &inst) { insts.push_back(inst); }
     std::vector<DynInst> insts;
 };
 

@@ -138,13 +138,13 @@ TEST(Injection, PreservesOriginalInstructionSequence)
     const Program modified =
         Injector::apply(prog, InjectLevel::Block, payload);
 
-    class OpSink : public TraceSink
+    class OpSink
     {
       public:
         explicit OpSink(bool keep_injected)
             : keepInjected(keep_injected) {}
         void
-        consume(const DynInst &inst) override
+        consume(const DynInst &inst)
         {
             if (keepInjected || !inst.injected)
                 ops.push_back(inst.op);

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "support/rng.hh"
 
@@ -68,6 +69,41 @@ TEST(Rng, BelowOneAlwaysZero)
     Rng rng(4);
     for (int i = 0; i < 100; ++i)
         ASSERT_EQ(rng.below(1), 0u);
+}
+
+/** The rejection loop below() ran for every n before its power-of-two path. */
+std::uint64_t
+rejectionBelow(Rng &rng, std::uint64_t n)
+{
+    const std::uint64_t threshold = (0 - n) % n;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % n;
+    }
+}
+
+TEST(Rng, BelowMatchesRejectionLoopValueAndDraws)
+{
+    std::vector<std::uint64_t> bounds;
+    for (int k = 0; k < 64; ++k)
+        bounds.push_back(std::uint64_t{1} << k);
+    // Non-powers of two, including ones that reject often (just
+    // above 2^63) and the largest value.
+    for (std::uint64_t n : {3ULL, 6ULL, 10ULL, 17ULL, 1000ULL, 18000ULL,
+                            (1ULL << 32) + 1, (1ULL << 63) + 1,
+                            (1ULL << 63) + (1ULL << 62), ~0ULL})
+        bounds.push_back(n);
+    for (std::uint64_t n : bounds) {
+        Rng rng(n * 31 + 7);
+        Rng reference(n * 31 + 7);
+        for (int i = 0; i < 64; ++i) {
+            ASSERT_EQ(rng.below(n), rejectionBelow(reference, n))
+                << "n = " << n << ", draw " << i;
+            // Both consumed the same number of raw draws.
+            ASSERT_EQ(rng.next(), reference.next()) << "n = " << n;
+        }
+    }
 }
 
 TEST(Rng, BelowIsRoughlyUniform)

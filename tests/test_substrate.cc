@@ -25,11 +25,11 @@ std::vector<double>
 dynamicMix(const Program &prog, std::uint64_t insts,
            bool phases = true, std::uint64_t seed = 1)
 {
-    class CountSink : public TraceSink
+    class CountSink
     {
       public:
         void
-        consume(const DynInst &inst) override
+        consume(const DynInst &inst)
         {
             ++counts[static_cast<std::size_t>(inst.op)];
             ++total;
@@ -248,11 +248,11 @@ TEST(Substrate, PhaseJumpKeepsBudgetAndValidity)
     const ProgramGenerator gen(config(0.7));
     const Program prog =
         gen.generate(malwareProfiles()[0], 6, 90210);
-    class PcSink : public TraceSink
+    class PcSink
     {
       public:
         void
-        consume(const DynInst &inst) override
+        consume(const DynInst &inst)
         {
             ++count;
             min_pc = std::min(min_pc, inst.pc);
