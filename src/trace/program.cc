@@ -5,6 +5,8 @@
 
 #include "trace/program.hh"
 
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace rhmd::trace
@@ -114,11 +116,15 @@ Program::validate() const
                 panic_if(inst.dst >= kNumRegs || inst.src1 >= kNumRegs ||
                          inst.src2 >= kNumRegs,
                          "register operand out of range in '", name, "'");
-                if (accessesMemory(inst.op) &&
-                    inst.mem.pattern != AddrPattern::StackSlot) {
-                    panic_if(inst.mem.region >= regions.size(),
-                             "mem region out of range in '", name, "'");
-                }
+                if (!accessesMemory(inst.op))
+                    continue;
+                // The executor aligns and the PMU detects misalignment
+                // with a size - 1 mask.
+                panic_if(!std::has_single_bit(inst.mem.accessSize),
+                         "access size not a power of two in '", name, "'");
+                panic_if(inst.mem.pattern != AddrPattern::StackSlot &&
+                         inst.mem.region >= regions.size(),
+                         "mem region out of range in '", name, "'");
             }
         }
     }

@@ -107,6 +107,18 @@ TEST(Generator, ProgramsValidate)
         prog.validate();  // panics on violation
 }
 
+TEST(Program, RejectsNonPowerOfTwoAccessSize)
+{
+    const ProgramGenerator gen(smallConfig());
+    Program prog = gen.generateCorpus().front();
+    for (auto &fn : prog.functions)
+        for (auto &block : fn.blocks)
+            for (auto &inst : block.body)
+                if (accessesMemory(inst.op))
+                    inst.mem.accessSize = 3;
+    EXPECT_DEATH(prog.validate(), "access size not a power of two");
+}
+
 TEST(Generator, StackIsRegionZero)
 {
     const ProgramGenerator gen(smallConfig());
