@@ -6,10 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "core/experiment.hh"
+#include "corpus/cache.hh"
 #include "ml/logistic_regression.hh"
 #include "ml/metrics.hh"
+#include "ml/serialize.hh"
 
 namespace
 {
@@ -246,5 +254,110 @@ TEST_P(HmdAlgorithmSweep, DetectsAboveChance)
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, HmdAlgorithmSweep,
                          ::testing::Values("LR", "NN", "DT", "SVM"));
+
+/** FNV-1a over 64-bit words and bytes; doubles enter by bit pattern. */
+class TrainDigest
+{
+  public:
+    void
+    add(std::uint64_t word)
+    {
+        hash_ ^= word;
+        hash_ *= 0x100000001b3ULL;
+    }
+
+    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+
+    void
+    add(const std::vector<double> &values)
+    {
+        add(std::uint64_t{values.size()});
+        for (double value : values)
+            add(value);
+    }
+
+    void
+    add(const std::string &text)
+    {
+        add(std::uint64_t{text.size()});
+        for (unsigned char c : text)
+            add(std::uint64_t{c});
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%016llx",
+                      static_cast<unsigned long long>(hash_));
+        return buf;
+    }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * Pins training: one Hmd::train per family on the smoke standard
+ * preset's victim-train windows (Instructions + Architectural at
+ * 10k), digesting the selected opcodes, the standardizer's mean and
+ * scale, the threshold, every training-window and held-out score,
+ * and the trySaveModel text of the parametric families. Any change
+ * to featurization, standardization, a trainer's arithmetic or its
+ * reduction order changes a digest. The NN's tanh, the sigmoid's exp
+ * and the Gaussian draws of program generation and MLP
+ * initialization (log, sin, cos) come from libm, so a different libm
+ * may move the constants; an intended change to training must
+ * re-derive them and say so.
+ */
+TEST(TrainGolden, TrainedDetectorsArePinned)
+{
+    const Experiment exp =
+        Experiment::build(corpus::presetConfig("standard", true));
+    std::vector<const features::RawWindow *> train;
+    std::vector<int> train_labels;
+    collectWindows(exp.corpus(), exp.split().victimTrain, 10000, train,
+                   train_labels);
+    std::vector<const features::RawWindow *> held;
+    std::vector<int> held_labels;
+    collectWindows(exp.corpus(), exp.split().attackerTest, 10000, held,
+                   held_labels);
+    ASSERT_FALSE(train.empty());
+    ASSERT_FALSE(held.empty());
+
+    const std::map<std::string, std::string> expected = {
+        {"LR", "ab5aeca73ac3eb4f"},
+        {"SVM", "0706f8c2d1efbb0d"},
+        {"NN", "b589f1c09307f66a"},
+        {"DT", "00a13f6e1fe13482"},
+        {"RF", "ad34e49f07f88435"},
+    };
+    for (const auto &[algorithm, want] : expected) {
+        features::FeatureSpec arch;
+        arch.kind = features::FeatureKind::Architectural;
+        arch.period = 10000;
+        HmdConfig config;
+        config.algorithm = algorithm;
+        config.specs = {instructionsSpec(), arch};
+        config.seed = 17;
+        Hmd hmd(config);
+        hmd.train(train, train_labels);
+
+        TrainDigest digest;
+        for (std::size_t op : hmd.specs().front().opcodeSel)
+            digest.add(std::uint64_t{op});
+        digest.add(hmd.standardizer().mean);
+        digest.add(hmd.standardizer().scale);
+        digest.add(hmd.threshold());
+        digest.add(hmd.scoreWindows(train));
+        digest.add(hmd.scoreWindows(held));
+        if (algorithm != "DT" && algorithm != "RF") {
+            std::ostringstream text;
+            ASSERT_TRUE(ml::trySaveModel(hmd.classifier(), text).isOk());
+            digest.add(text.str());
+        }
+        EXPECT_EQ(digest.hex(), want) << algorithm;
+    }
+}
 
 } // namespace
