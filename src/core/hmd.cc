@@ -46,8 +46,10 @@ Hmd::train(const std::vector<const features::RawWindow *> &windows,
     fatal_if(windows.empty(), "cannot train an Hmd without windows");
 
     std::size_t n_pos = 0;
-    for (int label : labels)
+    for (int label : labels) {
+        panic_if(label != 0 && label != 1, "labels must be 0 or 1");
         n_pos += label;
+    }
     const bool mixed = n_pos > 0 && n_pos < labels.size();
 
     // Instructions feature selection, when not already pinned. With
@@ -88,13 +90,17 @@ Hmd::train(const std::vector<const features::RawWindow *> &windows,
         }
     }
 
-    ml::Dataset raw;
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        raw.add(features::combinedVector(config_.specs, *windows[i]),
-                labels[i]);
-
-    standardizer_ = ml::Standardizer::fit(raw);
-    const ml::Dataset data = standardizer_.transform(raw);
+    // Each window is featurized once: its raw row fits the
+    // standardizer, is standardized in place (the row featureMatrix()
+    // would build), trains the classifier and scores for the
+    // threshold.
+    ml::Dataset data{
+        features::FeatureMatrix(windows.size(), featureDim()), labels};
+    for (std::size_t r = 0; r < windows.size(); ++r)
+        features::fillCombined(config_.specs, *windows[r], data.x.row(r));
+    standardizer_ = ml::Standardizer::fit(data.x);
+    for (std::size_t r = 0; r < data.size(); ++r)
+        standardizer_.applyInPlace(data.x.row(r), data.dim());
 
     clf_ = ml::makeClassifier(config_.algorithm);
     Rng rng(config_.seed);
@@ -106,11 +112,8 @@ Hmd::train(const std::vector<const features::RawWindow *> &windows,
     // raw-accuracy optimum degenerates into flagging nearly
     // everything, so the balanced point is the faithful equivalent
     // of the paper's high-sensitivity/high-specificity operation.
-    const std::vector<double> scores = scoreWindows(windows);
-    const bool both_classes =
-        raw.positives() > 0 && raw.positives() < raw.size();
-    threshold_ = both_classes
-        ? ml::bestBalancedThreshold(scores, data.y)
+    threshold_ = mixed
+        ? ml::bestBalancedThreshold(clf_->scoreBatch(data.x), data.y)
         : 0.5;
 }
 

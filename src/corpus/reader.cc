@@ -465,22 +465,4 @@ CorpusReader::verify() const
     return support::Status();
 }
 
-void
-appendWindows(const CorpusReader &reader, std::uint32_t period,
-              const std::vector<features::FeatureSpec> &specs,
-              ml::Dataset &out)
-{
-    const std::size_t dim = features::combinedDim(specs);
-    std::vector<double> row(dim);
-    features::RawWindow window;
-    for (std::size_t i = 0; i < reader.programCount(); ++i) {
-        const int label = reader.meta(i).malware ? 1 : 0;
-        WindowStream ws = reader.stream(i, period);
-        while (ws.next(window)) {
-            features::fillCombined(specs, window, row.data());
-            out.add(row.data(), dim, label);
-        }
-    }
-}
-
 } // namespace rhmd::corpus

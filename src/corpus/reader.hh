@@ -27,9 +27,7 @@
 #include <vector>
 
 #include "features/corpus.hh"
-#include "features/spec.hh"
 #include "features/window.hh"
-#include "ml/dataset.hh"
 #include "support/status.hh"
 
 namespace rhmd::corpus
@@ -132,18 +130,6 @@ class CorpusReader
     explicit CorpusReader(std::unique_ptr<Impl> impl);
     std::unique_ptr<Impl> impl_;
 };
-
-/**
- * Stream one dataset row per window of @p period into @p out, labels
- * taken from each program's malware flag and rows assembled with the
- * combined vector of @p specs — the streaming replacement for
- * materializing a FeatureCorpus just to build an ml::Dataset. Rows
- * land in (program, window) order, matching an in-memory build over
- * materialize(). Panics if @p period is not in the corpus.
- */
-void appendWindows(const CorpusReader &reader, std::uint32_t period,
-                   const std::vector<features::FeatureSpec> &specs,
-                   ml::Dataset &out);
 
 } // namespace rhmd::corpus
 

@@ -17,12 +17,16 @@ FeatureMatrix::FeatureMatrix(std::size_t rows, std::size_t cols)
              "a feature matrix with rows needs at least one column");
 }
 
-std::vector<double>
-FeatureMatrix::rowVector(std::size_t r) const
+void
+FeatureMatrix::appendRow(const double *values, std::size_t n)
 {
-    panic_if(r >= rows_, "matrix row ", r, " out of range (", rows_,
-             " rows)");
-    return std::vector<double>(row(r), row(r) + cols_);
+    panic_if(n == 0, "a feature matrix with rows needs at least one column");
+    if (rows_ == 0)
+        cols_ = n;
+    panic_if(n != cols_, "feature dimensionality mismatch: ", n, " vs ",
+             cols_);
+    data_.insert(data_.end(), values, values + n);
+    ++rows_;
 }
 
 } // namespace rhmd::features

@@ -1,13 +1,15 @@
 /**
  * @file
- * Contiguous row-major feature matrix for batched scoring.
+ * Contiguous row-major feature matrix: the one row container for
+ * training and scoring.
  *
- * Every classifier scores through Classifier::scoreBatch() on one of
- * these: a whole batch laid out as one contiguous row-major block, so
- * the kernels (src/ml/kernels.hh) walk rows with a plain pointer
- * loop. Each row's accumulation order is independent of the batch,
- * so a window scores the same alone or in any batch (the determinism
- * gates rely on it).
+ * Every classifier trains on one of these (ml::Dataset::x) and scores
+ * through Classifier::scoreBatch() on one: the rows laid out as one
+ * contiguous row-major block, so trainers and kernels
+ * (src/ml/kernels.hh) walk rows with a plain pointer loop. Each
+ * row's accumulation order is independent of the batch, so a window
+ * scores the same alone or in any batch (the determinism gates rely
+ * on it).
  */
 
 #ifndef RHMD_FEATURES_MATRIX_HH
@@ -41,8 +43,11 @@ class FeatureMatrix
         return data_.data() + r * cols_;
     }
 
-    /** Copy row @p r out into an owning vector. */
-    std::vector<double> rowVector(std::size_t r) const;
+    /**
+     * Append one row of @p n values. The first row of a matrix with
+     * no rows sets cols(); every later row must match it.
+     */
+    void appendRow(const double *values, std::size_t n);
 
     /** The whole backing block, rows * cols doubles. */
     const std::vector<double> &data() const { return data_; }

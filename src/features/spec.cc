@@ -141,15 +141,6 @@ selectTopDeltaOpcodes(const std::vector<const RawWindow *> &windows,
     return selected;
 }
 
-std::vector<double>
-combinedVector(const std::vector<FeatureSpec> &specs,
-               const RawWindow &window)
-{
-    std::vector<double> out(combinedDim(specs), 0.0);
-    fillCombined(specs, window, out.data());
-    return out;
-}
-
 void
 fillCombined(const std::vector<FeatureSpec> &specs,
              const RawWindow &window, double *out)

@@ -84,13 +84,10 @@ std::vector<std::size_t> selectTopDeltaOpcodes(
     const std::vector<const RawWindow *> &windows,
     const std::vector<bool> &labels, std::size_t k);
 
-/** Concatenate the vectors of several specs for one window. */
-std::vector<double> combinedVector(const std::vector<FeatureSpec> &specs,
-                                   const RawWindow &window);
-
 /**
- * Write the combined vector of @p specs for one window into @p out
- * (combinedDim(specs) doubles), without allocating.
+ * Write the combined (concatenated) vector of @p specs for one
+ * window into @p out (combinedDim(specs) doubles), without
+ * allocating: the one row fill for training and scoring.
  */
 void fillCombined(const std::vector<FeatureSpec> &specs,
                   const RawWindow &window, double *out);

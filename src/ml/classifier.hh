@@ -59,13 +59,6 @@ class Classifier
 
     /** Algorithm name, e.g. "LR", "NN", "DT", "SVM". */
     virtual std::string name() const = 0;
-
-    /** Hard decision at a threshold. */
-    int
-    predict(const std::vector<double> &x, double threshold = 0.5) const
-    {
-        return score(x) >= threshold ? 1 : 0;
-    }
 };
 
 } // namespace rhmd::ml

@@ -50,7 +50,7 @@ DecisionTree::build(const Dataset &data,
     std::vector<std::pair<double, int>> column(indices.size());
     for (std::size_t f = 0; f < d; ++f) {
         for (std::size_t k = 0; k < indices.size(); ++k) {
-            column[k] = {data.x[indices[k]][f], data.y[indices[k]]};
+            column[k] = {data.x.row(indices[k])[f], data.y[indices[k]]};
         }
         std::sort(column.begin(), column.end());
 
@@ -94,7 +94,7 @@ DecisionTree::build(const Dataset &data,
     std::vector<std::size_t> left_idx;
     std::vector<std::size_t> right_idx;
     for (std::size_t i : indices) {
-        if (data.x[i][best_feature] <= best_threshold)
+        if (data.x.row(i)[best_feature] <= best_threshold)
             left_idx.push_back(i);
         else
             right_idx.push_back(i);

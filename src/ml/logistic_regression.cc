@@ -54,9 +54,11 @@ LogisticRegression::train(const Dataset &data, Rng &rng)
             double bias_grad = 0.0;
             for (std::size_t k = cursor; k < end; ++k) {
                 const std::size_t i = order[k];
-                const double p = sigmoid(dot(weights_, data.x[i]) + bias_);
+                const double *x = data.x.row(i);
+                const double p =
+                    sigmoid(dot(weights_.data(), x, d) + bias_);
                 const double err = p - static_cast<double>(data.y[i]);
-                axpy(grad, err, data.x[i]);
+                axpy(grad.data(), err, x, d);
                 bias_grad += err;
             }
             const double inv =

@@ -59,13 +59,14 @@ Mlp::train(const Dataset &data, Rng &rng)
             rng.permutation(data.size());
 
         for (std::size_t i : order) {
-            const std::vector<double> &x = data.x[i];
+            const double *x = data.x.row(i);
             const double target = static_cast<double>(data.y[i]);
 
             // Forward.
             double z_out = b2_;
             for (std::size_t h = 0; h < hidden; ++h) {
-                act[h] = std::tanh(dot(w1_[h], x) + b1_[h]);
+                act[h] =
+                    std::tanh(dot(w1_[h].data(), x, inputDim_) + b1_[h]);
                 z_out += w2_[h] * act[h];
             }
             const double p = sigmoid(z_out);

@@ -64,15 +64,19 @@ RandomForest::train(const Dataset &data, Rng &rng)
                 TreeResult result;
                 result.sel.assign(perm.begin(),
                                   perm.begin() + features_per_tree);
-                // Bootstrap sample projected onto the subset.
-                Dataset sample;
+                // Bootstrap sample projected onto the subset, filled
+                // in place.
+                Dataset sample{
+                    features::FeatureMatrix(samples_per_tree,
+                                            features_per_tree),
+                    std::vector<int>(samples_per_tree)};
                 for (std::size_t k = 0; k < samples_per_tree; ++k) {
                     const std::size_t i = tree_rng.below(data.size());
-                    std::vector<double> row;
-                    row.reserve(result.sel.size());
-                    for (std::size_t f : result.sel)
-                        row.push_back(data.x[i][f]);
-                    sample.add(std::move(row), data.y[i]);
+                    const double *src = data.x.row(i);
+                    double *row = sample.x.row(k);
+                    for (std::size_t c = 0; c < features_per_tree; ++c)
+                        row[c] = src[result.sel[c]];
+                    sample.y[k] = data.y[i];
                 }
                 result.tree = DecisionTree(config_.tree);
                 result.tree.train(sample, tree_rng);

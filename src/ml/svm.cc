@@ -38,25 +38,19 @@ LinearSvm::train(const Dataset &data, Rng &rng)
             const double eta =
                 1.0 / (config_.lambda * static_cast<double>(t));
             const double label = data.y[i] == 1 ? 1.0 : -1.0;
-            const double m = (dot(weights_, data.x[i]) + bias_) * label;
+            const double *x = data.x.row(i);
+            const double m = (dot(weights_.data(), x, d) + bias_) * label;
 
             // w <- (1 - eta*lambda) w  [+ eta*y*x on margin violation]
             const double shrink = 1.0 - eta * config_.lambda;
             for (double &w : weights_)
                 w *= shrink;
             if (m < 1.0) {
-                axpy(weights_, eta * label, data.x[i]);
+                axpy(weights_.data(), eta * label, x, d);
                 bias_ += eta * label * 0.1;  // lightly-regularized bias
             }
         }
     }
-}
-
-double
-LinearSvm::margin(const std::vector<double> &x) const
-{
-    panic_if(weights_.empty(), "SVM scored before training");
-    return dot(weights_, x) + bias_;
 }
 
 std::vector<double>
@@ -66,8 +60,8 @@ LinearSvm::scoreBatch(const features::FeatureMatrix &x) const
     panic_if(x.rows() > 0 && x.cols() != weights_.size(),
              "SVM batch dim mismatch: ", x.cols(), " vs ",
              weights_.size());
-    // margin() per row with the support::dot accumulation order;
-    // sharpness and sigmoid applied per row.
+    // The margin w.x + b per row with the support::dot accumulation
+    // order; sharpness and sigmoid applied per row.
     std::vector<double> out(x.rows());
     linearMargin(x, weights_.data(), bias_, out.data());
     for (double &z : out)

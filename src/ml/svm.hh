@@ -37,9 +37,6 @@ class LinearSvm : public Classifier
     std::unique_ptr<Classifier> clone() const override;
     std::string name() const override { return "SVM"; }
 
-    /** Signed margin w.x + b. */
-    double margin(const std::vector<double> &x) const;
-
     const std::vector<double> &weights() const { return weights_; }
     double bias() const { return bias_; }
 

@@ -66,14 +66,20 @@ stddev(const std::vector<double> &values)
 }
 
 double
+dot(const double *a, const double *b, std::size_t n)
+{
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        total += a[i] * b[i];
+    return total;
+}
+
+double
 dot(const std::vector<double> &a, const std::vector<double> &b)
 {
     panic_if(a.size() != b.size(), "dot: size mismatch ", a.size(),
              " vs ", b.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        total += a[i] * b[i];
-    return total;
+    return dot(a.data(), b.data(), a.size());
 }
 
 double
@@ -83,12 +89,18 @@ norm(const std::vector<double> &v)
 }
 
 void
+axpy(double *a, double scale, const double *b, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        a[i] += scale * b[i];
+}
+
+void
 axpy(std::vector<double> &a, double scale, const std::vector<double> &b)
 {
     panic_if(a.size() != b.size(), "axpy: size mismatch ", a.size(),
              " vs ", b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        a[i] += scale * b[i];
+    axpy(a.data(), scale, b.data(), a.size());
 }
 
 void

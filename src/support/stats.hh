@@ -54,11 +54,20 @@ double mean(const std::vector<double> &values);
 /** Sample standard deviation of a vector (0 when size < 2). */
 double stddev(const std::vector<double> &values);
 
+/**
+ * Dot product of two @p n-element arrays, summed in ascending index
+ * from 0.0 (the order every linear score and trainer relies on).
+ */
+double dot(const double *a, const double *b, std::size_t n);
+
 /** Dot product; vectors must have equal length. */
 double dot(const std::vector<double> &a, const std::vector<double> &b);
 
 /** Euclidean norm. */
 double norm(const std::vector<double> &v);
+
+/** a[i] += scale * b[i] for i < @p n, in place. */
+void axpy(double *a, double scale, const double *b, std::size_t n);
 
 /** a += scale * b, in place; vectors must have equal length. */
 void axpy(std::vector<double> &a, double scale,

@@ -26,8 +26,6 @@
 #include "corpus/reader.hh"
 #include "corpus/writer.hh"
 #include "features/corpus.hh"
-#include "features/spec.hh"
-#include "ml/dataset.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
 #include "trace/generator.hh"
@@ -269,44 +267,6 @@ TEST(CorpusFormat, EveryOneByteCorruptionIsDetected)
                 << std::hex << static_cast<unsigned>(mask)
                 << ") was not detected";
         }
-    }
-}
-
-TEST(CorpusFormat, AppendWindowsMatchesMaterializedBuild)
-{
-    const features::FeatureCorpus corpus = tailCorpus();
-    const std::string path = writeCorpusFile(corpus, "append.rhmdc");
-    auto reader = corpus::CorpusReader::open(path);
-    ASSERT_TRUE(reader.isOk());
-
-    // Memory + Architectural: self-contained specs (an Instructions
-    // spec would additionally need its top-K opcode selection fitted
-    // before rows can be filled, same as everywhere else).
-    std::vector<features::FeatureSpec> specs(2);
-    specs[0].kind = features::FeatureKind::Memory;
-    specs[0].period = 10000;
-    specs[1].kind = features::FeatureKind::Architectural;
-    specs[1].period = 10000;
-
-    ml::Dataset streamed;
-    corpus::appendWindows(*reader, 10000, specs, streamed);
-
-    ml::Dataset direct;
-    const std::size_t dim = features::combinedDim(specs);
-    std::vector<double> row(dim);
-    for (const features::ProgramFeatures &prog : corpus.programs) {
-        for (const features::RawWindow &window : prog.windows(10000)) {
-            features::fillCombined(specs, window, row.data());
-            direct.add(row, prog.malware ? 1 : 0);
-        }
-    }
-    ASSERT_EQ(streamed.size(), direct.size());
-    EXPECT_EQ(streamed.y, direct.y);
-    for (std::size_t i = 0; i < streamed.size(); ++i) {
-        ASSERT_EQ(streamed.x[i].size(), direct.x[i].size());
-        for (std::size_t d = 0; d < dim; ++d)
-            EXPECT_EQ(std::bit_cast<std::uint64_t>(streamed.x[i][d]),
-                      std::bit_cast<std::uint64_t>(direct.x[i][d]));
     }
 }
 

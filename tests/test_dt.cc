@@ -33,9 +33,10 @@ TEST(Dt, LearnsAxisAlignedSplit)
     DecisionTree tree;
     Rng rng(1);
     tree.train(data, rng);
+    const std::vector<double> scores = tree.scoreBatch(data.x);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < data.size(); ++i)
-        correct += tree.predict(data.x[i]) == data.y[i] ? 1 : 0;
+        correct += (scores[i] >= 0.5 ? 1 : 0) == data.y[i] ? 1 : 0;
     EXPECT_GT(static_cast<double>(correct) / data.size(), 0.97);
 }
 
@@ -140,9 +141,7 @@ TEST(Dt, NonLinearPatternBeyondLinearModels)
     DecisionTree tree;
     Rng rng(10);
     tree.train(data, rng);
-    std::vector<double> scores;
-    for (const auto &x : data.x)
-        scores.push_back(tree.score(x));
+    const std::vector<double> scores = tree.scoreBatch(data.x);
     EXPECT_GT(auc(scores, data.y), 0.97);
 }
 

@@ -48,9 +48,7 @@ TEST(Lr, LearnsSeparableBlobs)
     Rng rng(1);
     lr.train(data, rng);
 
-    std::vector<double> scores;
-    for (const auto &x : data.x)
-        scores.push_back(lr.score(x));
+    const std::vector<double> scores = lr.scoreBatch(data.x);
     EXPECT_GT(auc(scores, data.y), 0.97);
 }
 
@@ -99,15 +97,6 @@ TEST(Lr, SetParamsControlsScore)
     EXPECT_LT(lr.score({0.0, 1.0}), 0.3);
 }
 
-TEST(Lr, PredictUsesThreshold)
-{
-    LogisticRegression lr;
-    lr.setParams({1.0}, 0.0);
-    EXPECT_EQ(lr.predict({1.0}, 0.5), 1);
-    EXPECT_EQ(lr.predict({-1.0}, 0.5), 0);
-    EXPECT_EQ(lr.predict({1.0}, 0.99), 0);
-}
-
 TEST(Lr, L2ShrinksWeights)
 {
     const Dataset data = blobs(300, 3.0, 12);
@@ -131,9 +120,7 @@ TEST(Lr, HarderOverlapStillAboveChance)
     LogisticRegression lr;
     Rng rng(7);
     lr.train(data, rng);
-    std::vector<double> scores;
-    for (const auto &x : data.x)
-        scores.push_back(lr.score(x));
+    const std::vector<double> scores = lr.scoreBatch(data.x);
     const double a = auc(scores, data.y);
     EXPECT_GT(a, 0.6);
     EXPECT_LT(a, 0.85);  // not suspiciously perfect

@@ -44,9 +44,7 @@ TEST(Mlp, LearnsXor)
     Rng rng(1);
     nn.train(data, rng);
 
-    std::vector<double> scores;
-    for (const auto &x : data.x)
-        scores.push_back(nn.score(x));
+    const std::vector<double> scores = nn.scoreBatch(data.x);
     EXPECT_GT(auc(scores, data.y), 0.98);
 }
 
@@ -65,8 +63,10 @@ TEST(Mlp, XorIsNotLinearlySolvable)
 
     const std::vector<double> w = nn.collapsedWeights();
     std::vector<double> linear_scores;
-    for (const auto &x : data.x)
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        const double *x = data.x.row(i);
         linear_scores.push_back(w[0] * x[0] + w[1] * x[1]);
+    }
     const double linear_auc = auc(linear_scores, data.y);
     EXPECT_LT(std::abs(linear_auc - 0.5), 0.2);
 }

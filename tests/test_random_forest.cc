@@ -36,9 +36,7 @@ TEST(Rf, LearnsNonLinearRing)
     RandomForest forest;
     Rng rng(1);
     forest.train(data, rng);
-    std::vector<double> scores;
-    for (const auto &x : data.x)
-        scores.push_back(forest.score(x));
+    const std::vector<double> scores = forest.scoreBatch(data.x);
     EXPECT_GT(auc(scores, data.y), 0.93);
 }
 
@@ -62,12 +60,8 @@ TEST(Rf, BeatsSingleTreeOnNoisyData)
     forest.train(train, ra);
     tree.train(train, rb);
 
-    std::vector<double> forest_scores;
-    std::vector<double> tree_scores;
-    for (const auto &x : test.x) {
-        forest_scores.push_back(forest.score(x));
-        tree_scores.push_back(tree.score(x));
-    }
+    const std::vector<double> forest_scores = forest.scoreBatch(test.x);
+    const std::vector<double> tree_scores = tree.scoreBatch(test.x);
     EXPECT_GE(auc(forest_scores, test.y) + 0.01,
               auc(tree_scores, test.y));
 }

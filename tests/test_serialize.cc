@@ -110,10 +110,10 @@ TEST(Serialize, EveryParametricModelRoundTripsAfterTraining)
         ASSERT_TRUE(trySaveModel(*model, stream).isOk()) << name;
         auto loaded = tryLoadModel(stream);
         ASSERT_TRUE(loaded.isOk()) << name;
-        for (const auto &x : data.x) {
-            ASSERT_NEAR((*loaded)->score(x), model->score(x), 1e-12)
-                << name;
-        }
+        const std::vector<double> want = model->scoreBatch(data.x);
+        const std::vector<double> got = (*loaded)->scoreBatch(data.x);
+        for (std::size_t i = 0; i < data.size(); ++i)
+            ASSERT_NEAR(got[i], want[i], 1e-12) << name;
     }
 }
 
@@ -133,12 +133,8 @@ TEST(Serialize, TrainedModelRoundTripPreservesAuc)
     saveModel(lr, stream);
     const auto loaded = loadModel(stream);
 
-    std::vector<double> orig;
-    std::vector<double> round;
-    for (const auto &x : data.x) {
-        orig.push_back(lr.score(x));
-        round.push_back(loaded->score(x));
-    }
+    const std::vector<double> orig = lr.scoreBatch(data.x);
+    const std::vector<double> round = loaded->scoreBatch(data.x);
     EXPECT_DOUBLE_EQ(auc(orig, data.y), auc(round, data.y));
 }
 

@@ -349,9 +349,11 @@ TEST(ScoreBatch, BitIdenticalToSerialForEveryAlgorithm)
 
         const std::vector<double> batch = clf->scoreBatch(x);
         ASSERT_EQ(batch.size(), x.rows()) << algorithm;
-        for (std::size_t r = 0; r < x.rows(); ++r)
-            EXPECT_EQ(batch[r], clf->score(x.rowVector(r)))
+        for (std::size_t r = 0; r < x.rows(); ++r) {
+            const std::vector<double> row(x.row(r), x.row(r) + x.cols());
+            EXPECT_EQ(batch[r], clf->score(row))
                 << algorithm << " row " << r;
+        }
     }
 }
 

@@ -34,9 +34,7 @@ TEST(Svm, LearnsSeparableBlobs)
     LinearSvm svm;
     Rng rng(1);
     svm.train(data, rng);
-    std::vector<double> scores;
-    for (const auto &x : data.x)
-        scores.push_back(svm.score(x));
+    const std::vector<double> scores = svm.scoreBatch(data.x);
     EXPECT_GT(auc(scores, data.y), 0.96);
 }
 
@@ -46,8 +44,10 @@ TEST(Svm, MarginSignSeparatesClasses)
     LinearSvm svm;
     Rng rng(2);
     svm.train(data, rng);
-    EXPECT_GT(svm.margin({3.0, -3.0}), 0.0);
-    EXPECT_LT(svm.margin({-3.0, 3.0}), 0.0);
+    // score() is sigmoid(sharpness * margin): above 0.5 exactly when
+    // the margin is positive.
+    EXPECT_GT(svm.score({3.0, -3.0}), 0.5);
+    EXPECT_LT(svm.score({-3.0, 3.0}), 0.5);
 }
 
 TEST(Svm, ScoreIsMonotoneInMargin)
