@@ -8,7 +8,9 @@
  *             directory under its canonical config-key file name
  *             (corpus-<16-hex>.rhmdc), so later bench/experiment runs
  *             with RHMD_CORPUS_DIR pointed there replay it
- *             bit-identically instead of re-executing the programs
+ *             bit-identically instead of re-executing the programs;
+ *             presets that share a config key share one file, which
+ *             one run extracts once
  *   info      print a file's header, sizes, and per-period window
  *             counts
  *   verify    open + checksum + stream-walk files; non-zero exit on
@@ -22,6 +24,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -107,22 +110,29 @@ cmdGenerate(int argc, char **argv)
     manifest.threads = support::globalThreads();
     manifest.addConfig("smoke", smoke ? "1" : "0");
 
+    // Presets that resolve to one config key (standard and fig13 in
+    // smoke mode) name one file: each key is extracted once, and a
+    // later preset reports the summary of the file already written.
+    std::map<std::uint64_t, corpus::WriteSummary> written;
     for (const std::string &name : presets) {
         const core::ExperimentConfig config =
             corpus::presetConfig(name, smoke);
         manifest.seed = config.seed;
-        const std::string path =
-            out_dir + "/" +
-            corpus::cacheFileName(corpus::configKey(config));
-        const auto summary =
-            corpus::writeExperimentCorpus(config, path);
-        if (!summary.isOk()) {
-            std::fprintf(stderr, "rhmd-corpus: generate %s: %s\n",
-                         name.c_str(),
-                         summary.status().message().c_str());
-            return 1;
+        const std::uint64_t key = corpus::configKey(config);
+        auto it = written.find(key);
+        if (it == written.end()) {
+            const auto fresh = corpus::writeExperimentCorpus(
+                config, out_dir + "/" + corpus::cacheFileName(key));
+            if (!fresh.isOk()) {
+                std::fprintf(stderr, "rhmd-corpus: generate %s: %s\n",
+                             name.c_str(),
+                             fresh.status().message().c_str());
+                return 1;
+            }
+            it = written.emplace(key, *fresh).first;
         }
-        manifest.addConfig("preset_" + name, summary->path);
+        const corpus::WriteSummary &summary = it->second;
+        manifest.addConfig("preset_" + name, summary.path);
         if (json) {
             std::printf(
                 "{\"preset\": \"%s\", \"path\": \"%s\", "
@@ -130,16 +140,16 @@ cmdGenerate(int argc, char **argv)
                 "\"content_hash\": \"%016" PRIx64 "\", "
                 "\"format_version\": %u, \"programs\": %zu, "
                 "\"windows\": %" PRIu64 ", \"bytes\": %" PRIu64 "}\n",
-                name.c_str(), summary->path.c_str(),
-                summary->configKey, summary->contentHash,
-                corpus::kCorpusFormatVersion, summary->programs,
-                summary->windows, summary->bytes);
+                name.c_str(), summary.path.c_str(),
+                summary.configKey, summary.contentHash,
+                corpus::kCorpusFormatVersion, summary.programs,
+                summary.windows, summary.bytes);
         } else {
             std::printf("%s: %s (%zu programs, %" PRIu64
                         " windows, %" PRIu64 " bytes)\n",
-                        name.c_str(), summary->path.c_str(),
-                        summary->programs, summary->windows,
-                        summary->bytes);
+                        name.c_str(), summary.path.c_str(),
+                        summary.programs, summary.windows,
+                        summary.bytes);
         }
     }
     if (!metrics_dir.empty() &&
