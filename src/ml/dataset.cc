@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "support/logging.hh"
+#include "support/metrics.hh"
 
 namespace rhmd::ml
 {
@@ -24,6 +25,15 @@ void
 Dataset::validate() const
 {
     panic_if(x.rows() != y.size(), "dataset x/y size mismatch");
+}
+
+void
+countTrainSamples(const Dataset &data, std::size_t epochs)
+{
+    static support::Counter &c = support::metrics().counter(
+        "ml.train_samples",
+        "examples visited by the SGD trainers (LR, SVM, NN): rows x epochs");
+    c.add(static_cast<std::uint64_t>(data.size()) * epochs);
 }
 
 Standardizer

@@ -42,6 +42,12 @@ struct Dataset
 };
 
 /**
+ * Count one SGD trainer run, @p epochs passes over every row of
+ * @p data, in the Deterministic counter ml.train_samples.
+ */
+void countTrainSamples(const Dataset &data, std::size_t epochs);
+
+/**
  * Per-feature z-score standardizer. Fitted on training data; the
  * same transform must be applied to every vector scored later.
  * Features with (near-)zero variance get scale 1 so they pass

@@ -35,6 +35,7 @@ LogisticRegression::train(const Dataset &data, Rng &rng)
 {
     fatal_if(data.empty(), "cannot train LR on empty data");
     data.validate();
+    countTrainSamples(data, config_.epochs);
     const std::size_t d = data.dim();
     weights_.assign(d, 0.0);
     bias_ = 0.0;

@@ -25,32 +25,42 @@ Mlp::train(const Dataset &data, Rng &rng)
 {
     fatal_if(data.empty(), "cannot train MLP on empty data");
     data.validate();
+    countTrainSamples(data, config_.epochs);
     inputDim_ = data.dim();
     const std::size_t hidden =
         config_.hidden == 0 ? inputDim_ : config_.hidden;
+    // The hidden weights and their momenta train in one block laid out
+    // [input][stride], stride being hidden rounded up to a whole group
+    // of four units, so each pass over a row serves four units. The
+    // padded lanes start at zero and get a zero delta; no unit reads
+    // them, so they cannot reach a trained value.
+    const std::size_t stride = (hidden + 3) / 4 * 4;
 
     const double init_sd =
         config_.initScale / std::sqrt(static_cast<double>(inputDim_));
-    w1_.assign(hidden, std::vector<double>(inputDim_));
-    b1_.assign(hidden, 0.0);
-    w2_.assign(hidden, 0.0);
-    b2_ = 0.0;
-    for (auto &row : w1_) {
-        for (double &w : row)
-            w = rng.gaussian(0.0, init_sd);
+    std::vector<double> w1(inputDim_ * stride, 0.0);
+    for (std::size_t h = 0; h < hidden; ++h) {
+        for (std::size_t j = 0; j < inputDim_; ++j)
+            w1[j * stride + h] = rng.gaussian(0.0, init_sd);
     }
+    std::vector<double> b1(hidden, 0.0);
+    std::vector<double> w2(hidden, 0.0);
+    double b2 = 0.0;
     const double out_sd =
         config_.initScale / std::sqrt(static_cast<double>(hidden));
-    for (double &w : w2_)
+    for (double &w : w2)
         w = rng.gaussian(0.0, out_sd);
 
-    std::vector<std::vector<double>> v1(
-        hidden, std::vector<double>(inputDim_, 0.0));
+    std::vector<double> v1(inputDim_ * stride, 0.0);
     std::vector<double> vb1(hidden, 0.0);
     std::vector<double> v2(hidden, 0.0);
     double vb2 = 0.0;
 
+    std::vector<double> pre(stride);
     std::vector<double> act(hidden);
+    std::vector<double> delta(stride, 0.0);
+    const double momentum = config_.momentum;
+    const double l2 = config_.l2;
 
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
         const double step = config_.learningRate /
@@ -62,42 +72,74 @@ Mlp::train(const Dataset &data, Rng &rng)
             const double *x = data.x.row(i);
             const double target = static_cast<double>(data.y[i]);
 
-            // Forward.
-            double z_out = b2_;
+            // Forward. Each w.x sums in ascending j from +0.0 and the
+            // bias comes after, the support::dot + bias order
+            // linearMargin scores with.
+            for (std::size_t h = 0; h < stride; h += 4) {
+                double s0 = 0.0;
+                double s1 = 0.0;
+                double s2 = 0.0;
+                double s3 = 0.0;
+                const double *w4 = w1.data() + h;
+                for (std::size_t j = 0; j < inputDim_; ++j) {
+                    s0 += w4[0] * x[j];
+                    s1 += w4[1] * x[j];
+                    s2 += w4[2] * x[j];
+                    s3 += w4[3] * x[j];
+                    w4 += stride;
+                }
+                pre[h] = s0;
+                pre[h + 1] = s1;
+                pre[h + 2] = s2;
+                pre[h + 3] = s3;
+            }
+            double z_out = b2;
             for (std::size_t h = 0; h < hidden; ++h) {
-                act[h] =
-                    std::tanh(dot(w1_[h].data(), x, inputDim_) + b1_[h]);
-                z_out += w2_[h] * act[h];
+                act[h] = std::tanh(pre[h] + b1[h]);
+                z_out += w2[h] * act[h];
             }
             const double p = sigmoid(z_out);
 
-            // Backward: dLoss/dz_out for log loss is (p - y).
+            // Backward: dLoss/dz_out for log loss is (p - y), and each
+            // delta_h reads w2[h] before it moves.
             const double delta_out = p - target;
 
             for (std::size_t h = 0; h < hidden; ++h) {
-                const double delta_h =
-                    delta_out * w2_[h] * (1.0 - act[h] * act[h]);
-
-                v2[h] = config_.momentum * v2[h] -
-                        step * (delta_out * act[h] +
-                                config_.l2 * w2_[h]);
-                w2_[h] += v2[h];
-
-                auto &w_row = w1_[h];
-                auto &v_row = v1[h];
-                for (std::size_t j = 0; j < inputDim_; ++j) {
-                    v_row[j] = config_.momentum * v_row[j] -
-                               step * (delta_h * x[j] +
-                                       config_.l2 * w_row[j]);
-                    w_row[j] += v_row[j];
-                }
-                vb1[h] = config_.momentum * vb1[h] - step * delta_h;
-                b1_[h] += vb1[h];
+                delta[h] = delta_out * w2[h] * (1.0 - act[h] * act[h]);
+                v2[h] = momentum * v2[h] -
+                        step * (delta_out * act[h] + l2 * w2[h]);
+                w2[h] += v2[h];
+                vb1[h] = momentum * vb1[h] - step * delta[h];
+                b1[h] += vb1[h];
             }
-            vb2 = config_.momentum * vb2 - step * delta_out;
-            b2_ += vb2;
+            for (std::size_t j = 0; j < inputDim_; ++j) {
+                double *wr = w1.data() + j * stride;
+                double *vr = v1.data() + j * stride;
+                const double xj = x[j];
+                for (std::size_t h = 0; h < stride; h += 4) {
+                    double *w4 = wr + h;
+                    double *v4 = vr + h;
+                    const double *d4 = delta.data() + h;
+                    for (std::size_t k = 0; k < 4; ++k) {
+                        v4[k] = momentum * v4[k] -
+                                step * (d4[k] * xj + l2 * w4[k]);
+                        w4[k] += v4[k];
+                    }
+                }
+            }
+            vb2 = momentum * vb2 - step * delta_out;
+            b2 += vb2;
         }
     }
+
+    w1_.assign(hidden, std::vector<double>(inputDim_));
+    for (std::size_t h = 0; h < hidden; ++h) {
+        for (std::size_t j = 0; j < inputDim_; ++j)
+            w1_[h][j] = w1[j * stride + h];
+    }
+    b1_ = std::move(b1);
+    w2_ = std::move(w2);
+    b2_ = b2;
 }
 
 std::vector<double>

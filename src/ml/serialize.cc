@@ -170,6 +170,9 @@ tryLoadModel(std::istream &is)
         if (!(is >> hidden))
             return support::dataLossError(
                 "corrupt NN model: missing hidden size");
+        if (hidden == 0)
+            return support::dataLossError(
+                "corrupt NN model: no hidden units");
         if (hidden > kMaxVectorSize)
             return support::dataLossError(
                 "corrupt NN model: absurd hidden size ", hidden);

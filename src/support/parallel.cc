@@ -140,13 +140,21 @@ ThreadPool::wait()
     if (serial())
         return;
     std::unique_lock<std::mutex> lock(mutex_);
-    allIdle_.wait(lock,
-                  [this] { return queue_.empty() && active_ == 0; });
+    allIdle_.wait(lock, [this] { return idle(); });
 }
 
 void
 ThreadPool::workerLoop()
 {
+    // wait() counts a worker as busy until it gets here: a thread
+    // still in its start-up (the sanitizer runtime's allocates and
+    // frees) must not be inside the allocator when the caller forks.
+    {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        ++started_;
+        if (idle())
+            allIdle_.notify_all();
+    }
     for (;;) {
         std::function<void()> task;
         {
@@ -162,10 +170,14 @@ ThreadPool::workerLoop()
         }
         spaceReady_.notify_one();
         runInstrumented(task);
+        // Free the closure before reporting idle: wait() must not
+        // return while a worker is still inside the allocator, or a
+        // fork() right after it leaves the child holding its lock.
+        task = nullptr;
         {
             const std::lock_guard<std::mutex> lock(mutex_);
             --active_;
-            if (queue_.empty() && active_ == 0)
+            if (idle())
                 allIdle_.notify_all();
         }
     }

@@ -85,11 +85,21 @@ class ThreadPool
      */
     void submit(std::function<void()> task);
 
-    /** Block until every submitted task has finished. */
+    /**
+     * Block until every worker has started and every submitted task
+     * has finished and been destroyed. No worker is then inside the
+     * allocator, so the caller may fork.
+     */
     void wait();
 
   private:
     void workerLoop();
+
+    /** Every worker is parked in its loop; call with mutex_ held. */
+    bool idle() const
+    {
+        return started_ == threads_ && queue_.empty() && active_ == 0;
+    }
 
     std::size_t threads_;
     std::size_t capacity_;
@@ -99,6 +109,7 @@ class ThreadPool
     std::condition_variable taskReady_;
     std::condition_variable spaceReady_;
     std::condition_variable allIdle_;
+    std::size_t started_ = 0;
     std::size_t active_ = 0;
     bool stopping_ = false;
 };

@@ -8,6 +8,10 @@
 #include <cmath>
 
 #include "ml/dataset.hh"
+#include "ml/logistic_regression.hh"
+#include "ml/mlp.hh"
+#include "ml/svm.hh"
+#include "support/metrics.hh"
 #include "support/rng.hh"
 
 namespace
@@ -28,6 +32,27 @@ TEST(Dataset, AddAndQuery)
     EXPECT_EQ(data.x.row(1)[0], 3.0);
     EXPECT_EQ(data.x.row(1)[1], 4.0);
     data.validate();
+}
+
+TEST(Dataset, SgdTrainersCountRowsTimesEpochs)
+{
+    Dataset data;
+    for (int i = 0; i < 10; ++i)
+        data.add({i * 0.1, 1.0 - i * 0.2}, i % 2);
+    LrConfig lr;
+    lr.epochs = 3;
+    SvmConfig svm;
+    svm.epochs = 5;
+    MlpConfig nn;
+    nn.epochs = 7;
+    const std::uint64_t before =
+        support::metrics().counterValue("ml.train_samples");
+    Rng rng(1);
+    LogisticRegression(lr).train(data, rng);
+    LinearSvm(svm).train(data, rng);
+    Mlp(nn).train(data, rng);
+    EXPECT_EQ(support::metrics().counterValue("ml.train_samples") - before,
+              10u * (3 + 5 + 7));
 }
 
 TEST(Dataset, AddRejectsDimMismatchAndBadLabels)

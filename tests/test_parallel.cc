@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -64,6 +65,25 @@ TEST(ThreadPool, ForkedChildExitsWithoutJoiningPhantomWorkers)
         8, [](std::size_t i) { return static_cast<int>(i); });
     EXPECT_EXIT(std::exit(7), ::testing::ExitedWithCode(7), "");
     support::setGlobalThreads(1);
+}
+
+TEST(ThreadPool, WaitReturnsAfterTaskClosuresAreDestroyed)
+{
+    // The task holds the last reference to a token whose deleter is
+    // slow; wait() must not return before the worker has destroyed
+    // the task and with it the token.
+    std::atomic<bool> released{false};
+    ThreadPool pool(2);
+    {
+        std::shared_ptr<int> token(new int(0), [&released](int *p) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            delete p;
+            released = true;
+        });
+        pool.submit([token] { EXPECT_EQ(*token, 0); });
+    }
+    pool.wait();
+    EXPECT_TRUE(released.load());
 }
 
 TEST(ThreadPool, RunsEveryTaskExactlyOnce)

@@ -220,6 +220,18 @@ TEST(Serialize, AbsurdVectorSizeIsRecoverable)
     EXPECT_EQ(model.status().code(), support::StatusCode::DataLoss);
 }
 
+TEST(Serialize, NnWithoutHiddenUnitsIsRecoverable)
+{
+    // Every size field is consistent, so only the hidden count itself
+    // can reject this stream before Mlp::setParams would panic on it.
+    std::stringstream stream("RHMD-MODEL 2\nNN\n0\n0\n0\n0.5\n");
+    const auto model = tryLoadModel(stream);
+    ASSERT_FALSE(model.isOk());
+    EXPECT_EQ(model.status().code(), support::StatusCode::DataLoss);
+    EXPECT_NE(model.status().message().find("no hidden units"),
+              std::string::npos);
+}
+
 TEST(Serialize, NonFiniteParametersAreRecoverable)
 {
     // "nan" is rejected by the stream parse itself; an overflowing
