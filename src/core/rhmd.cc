@@ -194,9 +194,23 @@ majorityVote(const std::vector<int> &decisions)
 
 EpochPlan::EpochPlan(const std::vector<std::unique_ptr<Hmd>> &detectors,
                      std::uint32_t epoch)
-    : detectors_(detectors), epoch_(epoch), slots_(detectors.size()),
-      rows_(detectors.size())
 {
+    reset(detectors, epoch);
+}
+
+void
+EpochPlan::reset(const std::vector<std::unique_ptr<Hmd>> &detectors,
+                 std::uint32_t epoch)
+{
+    detectors_ = &detectors;
+    epoch_ = epoch;
+    programs_ = 0;
+    slots_.resize(detectors.size());
+    rows_.resize(detectors.size());
+    for (std::size_t d = 0; d < detectors.size(); ++d) {
+        slots_[d].clear();
+        rows_[d].clear();
+    }
 }
 
 void
@@ -204,7 +218,7 @@ EpochPlan::decide(std::vector<std::vector<int>> &decisions) const
 {
     score([&](std::size_t d, const std::vector<Slot> &slots,
               const std::vector<double> &scores) {
-        const double threshold = detectors_[d]->threshold();
+        const double threshold = (*detectors_)[d]->threshold();
         for (std::size_t i = 0; i < scores.size(); ++i) {
             decisions[slots[i].prog][slots[i].epoch] =
                 scores[i] >= threshold ? 1 : 0;

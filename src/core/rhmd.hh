@@ -99,9 +99,21 @@ class EpochPlan
         std::size_t epoch;
     };
 
+    /** An empty plan over no detectors; reset() binds it to a pool. */
+    EpochPlan() = default;
+
     /** An empty plan over @p detectors at epoch length @p epoch. */
     EpochPlan(const std::vector<std::unique_ptr<Hmd>> &detectors,
               std::uint32_t epoch);
+
+    /**
+     * Empty the plan and bind it to @p detectors at epoch length
+     * @p epoch, as a fresh plan over them would be. The per-detector
+     * lists keep their capacity, so a plan reused across batches stops
+     * allocating once it has seen the largest batch.
+     */
+    void reset(const std::vector<std::unique_ptr<Hmd>> &detectors,
+               std::uint32_t epoch);
 
     /**
      * Draw every epoch of @p prog in order; @p pick() returns the
@@ -118,7 +130,7 @@ class EpochPlan
             const std::size_t d = pick();
             slots_[d].push_back({programs_, e});
             rows_[d].push_back(
-                &requireEpochWindow(prog, epoch_, *detectors_[d], e));
+                &requireEpochWindow(prog, epoch_, *(*detectors_)[d], e));
         }
         ++programs_;
         return n_epochs;
@@ -133,10 +145,10 @@ class EpochPlan
     void
     score(Visit &&visit) const
     {
-        for (std::size_t d = 0; d < detectors_.size(); ++d) {
+        for (std::size_t d = 0; d < rows_.size(); ++d) {
             if (rows_[d].empty())
                 continue;
-            visit(d, slots_[d], detectors_[d]->scoreWindows(rows_[d]));
+            visit(d, slots_[d], (*detectors_)[d]->scoreWindows(rows_[d]));
         }
     }
 
@@ -147,8 +159,8 @@ class EpochPlan
     void decide(std::vector<std::vector<int>> &decisions) const;
 
   private:
-    const std::vector<std::unique_ptr<Hmd>> &detectors_;
-    std::uint32_t epoch_;
+    const std::vector<std::unique_ptr<Hmd>> *detectors_ = nullptr;
+    std::uint32_t epoch_ = 0;
     std::size_t programs_ = 0;
     std::vector<std::vector<Slot>> slots_;
     std::vector<std::vector<const features::RawWindow *>> rows_;

@@ -153,6 +153,9 @@ tryLoadModel(std::istream &is)
         auto weights = readVector(is);
         if (!weights.isOk())
             return weights.status();
+        if (weights->empty())
+            return support::dataLossError("corrupt ", kind,
+                                          " model: no weights");
         auto bias = readScalar(is, "bias");
         if (!bias.isOk())
             return bias.status();

@@ -24,6 +24,24 @@ validScore(double score)
     return std::isfinite(score) && score >= 0.0 && score <= 1.0;
 }
 
+double
+secondsBetween(std::chrono::steady_clock::time_point from,
+               std::chrono::steady_clock::time_point to)
+{
+    return std::chrono::duration<double>(to - from).count();
+}
+
+/** A per-batch phase histogram: 1 us to 1 s in 1-2.5-5 steps. */
+support::Histogram &
+phaseHistogram(const std::string &name, const std::string &help)
+{
+    return support::metrics().histogram(
+        name, help,
+        {1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3,
+         2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0},
+        support::MetricDomain::Timing);
+}
+
 // Deterministic serve metrics count request outcomes, which with a
 // healthy pool and no shedding depend only on (seed, keys, programs,
 // pool version); everything shaped by scheduling or overload — batch
@@ -86,6 +104,20 @@ struct ServeCounters
     support::Gauge &queueDepthPeak = support::metrics().gauge(
         "serve.queue_depth_peak", "maximum observed request-queue depth",
         support::MetricDomain::Timing);
+    // Where a batch's time went, observed once per batch: the oldest
+    // popped request's queue wait, then the phases of a batch that
+    // reaches planning.
+    support::Histogram &queueWaitSeconds = phaseHistogram(
+        "serve.queue_wait_seconds",
+        "queue wait of each popped batch's oldest request");
+    support::Histogram &planSeconds = phaseHistogram(
+        "serve.plan_seconds",
+        "per-batch shape check, health tick and switching draws");
+    support::Histogram &scoreSeconds = phaseHistogram(
+        "serve.score_seconds", "per-batch scoring and failover");
+    support::Histogram &fulfillSeconds = phaseHistogram(
+        "serve.fulfill_seconds",
+        "per-batch reports, shadow scoring and promise resolution");
 };
 
 ServeCounters &
@@ -136,9 +168,7 @@ DetectionService::~DetectionService()
 double
 DetectionService::nowSeconds() const
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - started_)
-        .count();
+    return secondsBetween(started_, std::chrono::steady_clock::now());
 }
 
 std::future<support::StatusOr<ServeReport>>
@@ -196,9 +226,8 @@ DetectionService::submit(const features::ProgramFeatures &prog,
         pushed = queue_.tryPushEvicting(
             std::move(req),
             [&](const Request &queued) {
-                return std::chrono::duration<double>(now -
-                                                     queued.enqueued)
-                           .count() > config_.deadlineSeconds;
+                return secondsBetween(queued.enqueued, now) >
+                       config_.deadlineSeconds;
             },
             evicted, &depth);
         for (Request &dead : evicted) {
@@ -312,7 +341,10 @@ void
 DetectionService::workerLoop()
 {
     std::vector<Request> batch;
+    BatchScratch scratch;
     while (queue_.popBatch(batch, config_.maxBatch) > 0) {
+        serveCounters().queueWaitSeconds.observe(secondsBetween(
+            batch.front().enqueued, std::chrono::steady_clock::now()));
         // Pop-boundary deadline shed: expired requests leave before
         // any batch is planned, so a batch of stale work costs no
         // scoring and an all-expired pop plans nothing at all.
@@ -320,7 +352,7 @@ DetectionService::workerLoop()
         if (batch.empty())
             continue;
         chaos_.maybeStallWorker();
-        processBatch(batch);
+        processBatch(batch, scratch);
     }
 }
 
@@ -335,8 +367,7 @@ DetectionService::shedExpired(std::vector<Request> &batch)
     std::size_t kept = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         Request &req = batch[i];
-        const double waited =
-            std::chrono::duration<double>(now - req.enqueued).count();
+        const double waited = secondsBetween(req.enqueued, now);
         if (waited > config_.deadlineSeconds) {
             if (req.admitted)
                 admission_.release(req.tenant);
@@ -356,10 +387,12 @@ DetectionService::shedExpired(std::vector<Request> &batch)
 }
 
 void
-DetectionService::processBatch(std::vector<Request> &batch)
+DetectionService::processBatch(std::vector<Request> &batch,
+                               BatchScratch &scratch)
 {
     ServeCounters &counters = serveCounters();
-    const double now_s = nowSeconds();
+    const auto started = std::chrono::steady_clock::now();
+    const double now_s = secondsBetween(started_, started);
 
     // Every admitted request has left the queue: return its admission
     // charge before anything else so fair-share accounting tracks
@@ -381,8 +414,8 @@ DetectionService::processBatch(std::vector<Request> &batch)
     // A program whose windows this snapshot cannot plan is the
     // caller's error, not the service's: it is answered here and
     // leaves the batch without touching health or the breaker.
-    std::vector<Request *> live;
-    live.reserve(batch.size());
+    std::vector<Request *> &live = scratch.live;
+    live.clear();
     for (Request &req : batch) {
         support::Status shape = core::checkEpochWindows(
             *req.prog, pool.detectors(), pool.decisionPeriod());
@@ -438,29 +471,35 @@ DetectionService::processBatch(std::vector<Request> &batch)
     // Phase 1 — plan: each request draws its switching stream from
     // (seed, key) alone, so the picks do not depend on batch
     // composition or worker interleaving. The plan's slots are
-    // indices into live.
+    // indices into live, and request r's epochs are the decisions
+    // from offsets[r] on.
     const std::uint32_t epoch_len = pool.decisionPeriod();
-    core::EpochPlan plan(pool.detectors(), epoch_len);
-    // Per live request: per-epoch decision, -1 while unclassified.
-    std::vector<std::vector<int>> decided(live.size());
-    std::vector<std::size_t> failures(live.size(), 0);
-    // Summed |score - threshold| over classified epochs (the margin
-    // signal behind ServeReport::meanMargin).
-    std::vector<double> marginSum(live.size(), 0.0);
-
-    for (std::size_t r = 0; r < live.size(); ++r) {
-        Rng rng = switchRng_.at(live[r]->key);
-        decided[r].assign(
-            plan.draw(*live[r]->prog,
-                      [&rng, &policy] { return rng.weightedIndex(policy); }),
-            -1);
+    core::EpochPlan &plan = scratch.plan;
+    plan.reset(pool.detectors(), epoch_len);
+    std::vector<std::size_t> &offsets = scratch.offsets;
+    offsets.assign(1, 0);
+    for (Request *req : live) {
+        Rng rng = switchRng_.at(req->key);
+        offsets.push_back(
+            offsets.back() +
+            plan.draw(*req->prog,
+                      [&rng, &policy] { return rng.weightedIndex(policy); }));
     }
+    std::vector<int> &decided = scratch.decided;
+    decided.assign(offsets.back(), -1);
+    std::vector<std::size_t> &failures = scratch.failures;
+    failures.assign(live.size(), 0);
+    std::vector<double> &marginSum = scratch.marginSum;
+    marginSum.assign(live.size(), 0.0);
+    const auto planned = std::chrono::steady_clock::now();
+    counters.planSeconds.observe(secondsBetween(started, planned));
 
     // Phase 2 — score: one batch pass per selected detector. Invalid
     // scores — organic or chaos-injected — are reported to the health
     // monitor and their slots fall through to the serial failover
     // pass below.
-    std::vector<core::EpochPlan::Slot> failed;
+    std::vector<core::EpochPlan::Slot> &failed = scratch.failed;
+    failed.clear();
     plan.score([&](std::size_t d,
                    const std::vector<core::EpochPlan::Slot> &slots,
                    const std::vector<double> &scores) {
@@ -476,7 +515,8 @@ DetectionService::processBatch(std::vector<Request> &batch)
                 continue;
             }
             ++valid;
-            decided[slot.prog][slot.epoch] = scores[i] >= threshold ? 1 : 0;
+            decided[offsets[slot.prog] + slot.epoch] =
+                scores[i] >= threshold ? 1 : 0;
             marginSum[slot.prog] += std::abs(scores[i] - threshold);
         }
         const std::lock_guard<std::mutex> lock(state->healthMutex);
@@ -528,38 +568,46 @@ DetectionService::processBatch(std::vector<Request> &batch)
                 continue;
             }
             state->health.recordSuccess(pick);
-            decided[f.prog][f.epoch] =
+            decided[offsets[f.prog] + f.epoch] =
                 score >= det.threshold() ? 1 : 0;
             marginSum[f.prog] += std::abs(score - det.threshold());
             break;
         }
     }
+    const auto scored = std::chrono::steady_clock::now();
+    counters.scoreSeconds.observe(secondsBetween(planned, scored));
 
     // Phase 4 — fulfill: compact each request's classified epochs
     // into its report, majority-vote the program decision, stamp the
     // pool version the batch was planned against. When a shadow
     // candidate is installed, each classified request is scored
-    // against it first (the submitted program is only guaranteed
-    // alive until its promise resolves).
+    // against it too (the submitted program is only guaranteed alive
+    // until its promise resolves). Only once every answer is built
+    // are the promises resolved, back to back in request order, so a
+    // client waiting on the batch is woken once rather than between
+    // reports.
     std::shared_ptr<const core::Rhmd> shadow;
     {
         const std::lock_guard<std::mutex> lock(shadowMutex_);
         shadow = shadow_;
     }
+    std::vector<support::StatusOr<ServeReport>> &answers = scratch.answers;
+    answers.clear();
     for (std::size_t r = 0; r < live.size(); ++r) {
         ServeReport report;
-        report.epochs = decided[r].size();
+        report.epochs = offsets[r + 1] - offsets[r];
         report.detectorFailures = failures[r];
         report.poolVersion = state->version;
-        for (int d : decided[r]) {
-            if (d >= 0)
-                report.decisions.push_back(d);
+        report.decisions.reserve(report.epochs);
+        for (std::size_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+            if (decided[e] >= 0)
+                report.decisions.push_back(decided[e]);
         }
         report.classified = report.decisions.size();
         if (report.decisions.empty()) {
             if (config_.breaker.enabled)
                 breaker_.recordFailure(now_s);
-            live[r]->promise.set_value(support::unavailableError(
+            answers.emplace_back(support::unavailableError(
                 "no epoch of '", live[r]->prog->name,
                 "' could be classified (", report.epochs, " epochs, ",
                 report.detectorFailures, " detector failures)"));
@@ -576,8 +624,12 @@ DetectionService::processBatch(std::vector<Request> &batch)
         if (shadow != nullptr)
             shadowScore(*live[r]->prog, live[r]->key,
                         report.programDecision, *shadow);
-        live[r]->promise.set_value(std::move(report));
+        answers.emplace_back(std::move(report));
     }
+    for (std::size_t r = 0; r < live.size(); ++r)
+        live[r]->promise.set_value(std::move(answers[r]));
+    counters.fulfillSeconds.observe(
+        secondsBetween(scored, std::chrono::steady_clock::now()));
 }
 
 void

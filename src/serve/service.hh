@@ -353,6 +353,33 @@ class DetectionService
         std::promise<support::StatusOr<ServeReport>> promise;
     };
 
+    /**
+     * One worker's batch working set, reused from batch to batch so
+     * that, once it has seen a full batch, a batch allocates only the
+     * decisions its reports hand out, the rows and scores of
+     * Hmd::scoreWindows and the effective policy. Each worker owns
+     * one: workers share nothing.
+     */
+    struct BatchScratch
+    {
+        /** The batch's requests that passed the shape check. */
+        std::vector<Request *> live;
+        /** Every live request's per-epoch decision, -1 while
+         *  unclassified; live request r owns [offsets[r],
+         *  offsets[r + 1]). */
+        std::vector<int> decided;
+        std::vector<std::size_t> offsets;
+        std::vector<std::size_t> failures;
+        /** Summed |score - threshold| over each live request's
+         *  classified epochs (behind ServeReport::meanMargin). */
+        std::vector<double> marginSum;
+        std::vector<core::EpochPlan::Slot> failed;
+        /** Each live request's answer, resolved once all are built. */
+        std::vector<support::StatusOr<ServeReport>> answers;
+        /** Rebound to the batch's pool version by reset(). */
+        core::EpochPlan plan;
+    };
+
     void workerLoop();
 
     /**
@@ -363,7 +390,7 @@ class DetectionService
      */
     void shedExpired(std::vector<Request> &batch);
 
-    void processBatch(std::vector<Request> &batch);
+    void processBatch(std::vector<Request> &batch, BatchScratch &scratch);
 
     /**
      * Score one classified live request against the shadow pool with

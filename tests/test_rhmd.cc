@@ -242,4 +242,89 @@ TEST(Rhmd, RejectsNonDividingPeriods)
                 ::testing::ExitedWithCode(1), "does not divide");
 }
 
+/** One (detector, slot, score) that EpochPlan::score() visits. */
+struct PlanVisit
+{
+    std::size_t detector;
+    std::size_t prog;
+    std::size_t epoch;
+    double score;
+
+    bool operator==(const PlanVisit &) const = default;
+};
+
+/**
+ * Draw programs [first, first + count) of the corpus on @p plan with
+ * uniform picks from Rng(@p seed) over @p pool, then list what its
+ * score() visits, in visit order.
+ */
+std::vector<PlanVisit>
+drawAndScore(EpochPlan &plan, const Rhmd &pool, std::size_t first,
+             std::size_t count, std::uint64_t seed)
+{
+    const auto &programs = sharedExperiment().corpus().programs;
+    Rng rng(seed);
+    for (std::size_t p = first; p < first + count; ++p)
+        plan.draw(programs[p], [&] { return rng.below(pool.poolSize()); });
+    std::vector<PlanVisit> visits;
+    plan.score([&](std::size_t d, const std::vector<EpochPlan::Slot> &slots,
+                   const std::vector<double> &scores) {
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            visits.push_back({d, slots[i].prog, slots[i].epoch, scores[i]});
+    });
+    return visits;
+}
+
+TEST(EpochPlan, ResetPlanMatchesAFreshPlanAcrossPools)
+{
+    // A service worker keeps one plan and rebinds it per batch, also
+    // to a swapped-in pool of another size and epoch. Each reset must
+    // leave nothing behind: same slots, same scores as a fresh plan.
+    const Experiment &exp = sharedExperiment();
+    features::FeatureSpec inst5;
+    inst5.kind = features::FeatureKind::Instructions;
+    inst5.period = 5000;
+    features::FeatureSpec arch10;
+    arch10.kind = features::FeatureKind::Architectural;
+    arch10.period = 10000;
+    std::vector<features::FeatureSpec> three = twoFeatureSpecs();
+    three.push_back(inst5);
+    const auto mixed = buildRhmd("LR", three, exp.corpus(),
+                                 exp.split().victimTrain, 16, 6);
+    const auto single = buildRhmd("LR", {inst5}, exp.corpus(),
+                                  exp.split().victimTrain, 16, 6);
+    const auto pair = twoDetectorPool();
+    ASSERT_EQ(mixed->decisionPeriod(), 10000u);
+    ASSERT_EQ(single->decisionPeriod(), 5000u);
+
+    // Fill the reused plan's lists before its first reset.
+    EpochPlan reused(mixed->detectors(), mixed->decisionPeriod());
+    drawAndScore(reused, *mixed, 0, 12, 1);
+
+    struct Step
+    {
+        const Rhmd *pool;
+        std::size_t first;
+        std::size_t count;
+    };
+    // Same pool, then smaller, then larger again, with batches of
+    // different sizes so a stale slot or row would show.
+    for (const Step &step : {Step{mixed.get(), 12, 5},
+                             Step{single.get(), 20, 9},
+                             Step{pair.get(), 3, 2},
+                             Step{mixed.get(), 40, 16}}) {
+        const Rhmd &pool = *step.pool;
+        reused.reset(pool.detectors(), pool.decisionPeriod());
+        EpochPlan fresh(pool.detectors(), pool.decisionPeriod());
+        const std::uint64_t seed = 100 + step.first;
+        const std::vector<PlanVisit> got =
+            drawAndScore(reused, pool, step.first, step.count, seed);
+        EXPECT_FALSE(got.empty());
+        EXPECT_EQ(got, drawAndScore(fresh, pool, step.first, step.count,
+                                    seed))
+            << "pool of " << pool.poolSize() << " at epoch "
+            << pool.decisionPeriod();
+    }
+}
+
 } // namespace

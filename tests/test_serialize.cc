@@ -232,6 +232,22 @@ TEST(Serialize, NnWithoutHiddenUnitsIsRecoverable)
               std::string::npos);
 }
 
+TEST(Serialize, LinearModelWithoutWeightsIsRecoverable)
+{
+    // A well-formed empty weight vector and a bias: only the weight
+    // count rejects these, before a model that would panic at its
+    // first score is handed out. Nothing is scored here.
+    for (const char *text :
+         {"RHMD-MODEL 2\nLR\n0\n0.5\n", "RHMD-MODEL 2\nSVM\n0\n0.5\n"}) {
+        std::stringstream stream(text);
+        const auto model = tryLoadModel(stream);
+        ASSERT_FALSE(model.isOk()) << text;
+        EXPECT_EQ(model.status().code(), support::StatusCode::DataLoss);
+        EXPECT_NE(model.status().message().find("no weights"),
+                  std::string::npos);
+    }
+}
+
 TEST(Serialize, NonFiniteParametersAreRecoverable)
 {
     // "nan" is rejected by the stream parse itself; an overflowing

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -92,6 +93,21 @@ twoDetectorPool()
     specs[0].period = 10000;
     specs[1].kind = features::FeatureKind::Memory;
     specs[1].period = 10000;
+    return core::buildRhmd("LR", specs, exp.corpus(),
+                           exp.split().victimTrain, 16, 5);
+}
+
+/** Two detectors at period 5000: epoch 5000, so twice the epochs per
+ *  program of the 10000-epoch pools. */
+std::shared_ptr<const core::Rhmd>
+shortEpochPool()
+{
+    const core::Experiment &exp = sharedExperiment();
+    std::vector<features::FeatureSpec> specs(2);
+    specs[0].kind = features::FeatureKind::Instructions;
+    specs[0].period = 5000;
+    specs[1].kind = features::FeatureKind::Memory;
+    specs[1].period = 5000;
     return core::buildRhmd("LR", specs, exp.corpus(),
                            exp.split().victimTrain, 16, 5);
 }
@@ -397,6 +413,71 @@ TEST(ServeSwap, DecisionsDeterministicPerKeyAndVersionUnderSwap)
                 ++key;
             }
         }
+    }
+}
+
+TEST(ServeSwap, SwapsAcrossPoolSizesAndEpochsAnswerPerVersion)
+{
+    // A worker reuses its batch working set across batches; swapping
+    // to a pool with fewer detectors and a shorter epoch, and back,
+    // must leave every answer the serial replay of the version it
+    // names.
+    const auto &programs = sharedExperiment().corpus().programs;
+    const std::vector<std::shared_ptr<const core::Rhmd>> pools = {
+        threeDetectorPool(5), shortEpochPool(), threeDetectorPool(9)};
+    ASSERT_EQ(pools[0]->decisionPeriod(), 10000u);
+    ASSERT_EQ(pools[1]->poolSize(), 2u);
+    ASSERT_EQ(pools[1]->decisionPeriod(), 5000u);
+
+    struct Shape
+    {
+        std::size_t workers;
+        std::size_t maxBatch;
+    };
+    for (const Shape &shape : {Shape{1, 16}, Shape{3, 4}}) {
+        ServeConfig sc;
+        sc.workers = shape.workers;
+        sc.maxBatch = shape.maxBatch;
+        sc.queueCapacity = 4096;
+        DetectionService service(pools[0], sc);
+
+        std::vector<std::future<support::StatusOr<ServeReport>>>
+            futures;
+        for (std::size_t wave = 0; wave < pools.size(); ++wave) {
+            const std::size_t wave_start = futures.size();
+            for (const auto &prog : programs)
+                futures.push_back(service.submit(prog, futures.size()));
+            if (wave + 1 == pools.size())
+                break;
+            // Requests submitted after the last swap plan on that
+            // version or a later one, so once one of them has been
+            // answered, this wave's version has served a batch. The
+            // rest of the wave is still in flight across the swap.
+            futures[wave_start].wait();
+            const auto swapped = service.swapPool(pools[wave + 1]);
+            ASSERT_TRUE(swapped.isOk());
+            EXPECT_EQ(*swapped, wave + 2);
+        }
+
+        std::vector<std::size_t> served(pools.size(), 0);
+        for (std::size_t key = 0; key < futures.size(); ++key) {
+            const auto &prog = programs[key % programs.size()];
+            const auto report = futures[key].get();
+            ASSERT_TRUE(report.isOk()) << report.status().toString();
+            ASSERT_GE(report->poolVersion, 1u);
+            ASSERT_LE(report->poolVersion, pools.size());
+            const core::Rhmd &pool = *pools[report->poolVersion - 1];
+            ++served[report->poolVersion - 1];
+            EXPECT_EQ(report->epochs,
+                      prog.windows(pool.decisionPeriod()).size());
+            EXPECT_EQ(report->decisions,
+                      replayDecisions(pool, sc.seed, prog, key))
+                << "workers=" << shape.workers
+                << " maxBatch=" << shape.maxBatch << " key=" << key
+                << " version=" << report->poolVersion;
+        }
+        for (std::size_t v = 0; v < pools.size(); ++v)
+            EXPECT_GT(served[v], 0u) << "version " << v + 1;
     }
 }
 
@@ -906,6 +987,67 @@ TEST(ServeMetrics, StopSheddingIsCountedApartFromOverload)
 
     EXPECT_EQ(stopped.value() - stopped_before, 1u);
     EXPECT_EQ(queue_full.value(), queue_full_before);
+}
+
+/** Observation count of histogram @p name in the registry's JSON; -1
+ *  when it is not there. */
+long
+histogramCount(const std::string &json, const std::string &name)
+{
+    const std::size_t at = json.find("\"name\": \"" + name + "\"");
+    if (at == std::string::npos)
+        return -1;
+    const std::string key = "\"count\": ";
+    const std::size_t count = json.find(key, at);
+    return count == std::string::npos
+               ? -1
+               : std::stol(json.substr(count + key.size()));
+}
+
+TEST(ServeMetrics, BatchPhasesAreObservedOncePerBatch)
+{
+    const auto &programs = sharedExperiment().corpus().programs;
+    const std::vector<std::string> phases = {
+        "serve.queue_wait_seconds", "serve.plan_seconds",
+        "serve.score_seconds", "serve.fulfill_seconds"};
+    const auto &batches = support::metrics().counter(
+        "serve.batches", "", support::MetricDomain::Timing);
+    {
+        // Registers the histograms, so their counts read before any
+        // batch below.
+        DetectionService warm(threeDetectorPool(), ServeConfig{});
+        ASSERT_TRUE(warm.submit(programs[0], 0).get().isOk());
+    }
+    const std::string before_json = support::metrics().toJson();
+    const std::uint64_t batches_before = batches.value();
+
+    ServeConfig sc;
+    sc.workers = 2;
+    sc.maxBatch = 4;
+    sc.queueCapacity = 4096;
+    DetectionService service(threeDetectorPool(), sc);
+    std::vector<std::future<support::StatusOr<ServeReport>>> futures;
+    for (std::size_t key = 0; key < 3 * programs.size(); ++key)
+        futures.push_back(
+            service.submit(programs[key % programs.size()], key));
+    for (auto &future : futures)
+        ASSERT_TRUE(future.get().isOk());
+    service.stop(); // every worker has observed its last batch
+
+    // No request was shed or malformed, so every pop planned a batch.
+    const std::string after_json = support::metrics().toJson();
+    const long planned =
+        static_cast<long>(batches.value() - batches_before);
+    EXPECT_GT(planned, 0);
+    for (const std::string &phase : phases) {
+        EXPECT_EQ(histogramCount(after_json, phase) -
+                      histogramCount(before_json, phase),
+                  planned)
+            << phase;
+        // Timing: the determinism gate's view leaves them out.
+        EXPECT_EQ(support::metrics().toJson(false).find(phase),
+                  std::string::npos);
+    }
 }
 
 TEST(ServeMetrics, HealthSnapshotIsSafeUnderLiveTraffic)
