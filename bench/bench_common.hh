@@ -38,7 +38,6 @@
 #ifndef RHMD_BENCH_BENCH_COMMON_HH
 #define RHMD_BENCH_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -53,9 +52,9 @@
 #include "corpus/cache.hh"
 #include "core/rhmd.hh"
 #include "ml/metrics.hh"
-#include "support/csv.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
+#include "support/parse.hh"
 #include "support/table.hh"
 #include "support/tracing.hh"
 
@@ -115,15 +114,11 @@ init(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--threads" && i + 1 < argc) {
-            // Strict parse: a typo like `--threads=abc` or `--threads
+            // Strict parse: a typo like `--threads abc` or `--threads
             // 4x` must fail fast, not silently become 0 and flip the
             // bench into env/hardware thread resolution.
             const char *text = argv[++i];
-            char *end = nullptr;
-            errno = 0;
-            const unsigned long long parsed =
-                std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0' || errno == ERANGE) {
+            if (!support::parseUnsigned(text, threads)) {
                 std::fprintf(stderr,
                              "%s: invalid --threads value '%s' "
                              "(expected a non-negative integer)\n"
@@ -132,7 +127,6 @@ init(int argc, char **argv)
                              argv[0], text, argv[0]);
                 std::exit(2);
             }
-            threads = static_cast<std::size_t>(parsed);
         } else if (arg == "--smoke") {
             s.smoke = true;
         } else if (arg == "--corpus" && i + 1 < argc) {
@@ -155,10 +149,6 @@ init(int argc, char **argv)
 
 namespace detail
 {
-
-// JSON string escaping lives in support/metrics (shared with the
-// registry's own exposition); keep the old name for bench callers.
-using support::jsonEscape;
 
 /**
  * Look up this bench's serial wall-time baseline in the checked-in
@@ -257,7 +247,7 @@ finish()
 
     const double baseline = detail::serialBaselineSeconds(s.name);
     std::string json = "{\n";
-    json += "  \"bench\": \"" + detail::jsonEscape(s.name) + "\",\n";
+    json += "  \"bench\": \"" + support::jsonEscape(s.name) + "\",\n";
     json += "  \"threads\": " + std::to_string(s.threads) + ",\n";
     json += "  \"smoke\": " + std::string(s.smoke ? "true" : "false") +
             ",\n";
@@ -282,7 +272,7 @@ finish()
         for (std::size_t h = 0; h < table.headers.size(); ++h) {
             json += (h > 0 ? ", " : "");
             json += '"';
-            json += detail::jsonEscape(table.headers[h]);
+            json += support::jsonEscape(table.headers[h]);
             json += '"';
         }
         json += "], \"rows\": [\n";
@@ -291,7 +281,7 @@ finish()
             for (std::size_t c = 0; c < table.rows[r].size(); ++c) {
                 json += (c > 0 ? ", " : "");
                 json += '"';
-                json += detail::jsonEscape(table.rows[r][c]);
+                json += support::jsonEscape(table.rows[r][c]);
                 json += '"';
             }
             json += r + 1 < table.rows.size() ? "],\n" : "]\n";
@@ -381,28 +371,12 @@ banner(const std::string &title, const std::string &paper_ref)
                 paper_ref.c_str());
 }
 
-/**
- * Print a results table, record it for the BENCH_<name>.json report,
- * and, when the RHMD_CSV_DIR environment variable names a directory,
- * also write it there as "<bench>_tN.csv" for post-processing.
- */
+/** Print a results table and record it for BENCH_<name>.json. */
 inline void
 emitTable(const Table &table)
 {
     table.print(std::cout);
     session().tables.push_back({table.headers(), table.data()});
-    const char *dir = std::getenv("RHMD_CSV_DIR");
-    if (dir == nullptr)
-        return;
-    static int counter = 0;
-    CsvWriter csv(table.headers());
-    for (const auto &row : table.data())
-        csv.addRow(row);
-    const std::string path = std::string(dir) + "/" +
-                             program_invocation_short_name + "_t" +
-                             std::to_string(counter++) + ".csv";
-    if (csv.write(path))
-        std::printf("[csv written to %s]\n", path.c_str());
 }
 
 /**

@@ -31,14 +31,6 @@ struct Interval
     /** The degenerate interval [v, v]. */
     static Interval point(double v) { return {v, v}; }
 
-    /** The ball [center - radius, center + radius]. */
-    static Interval ball(double center, double radius)
-    {
-        return {center - radius, center + radius};
-    }
-
-    double width() const { return hi - lo; }
-
     bool contains(double v) const { return lo <= v && v <= hi; }
 };
 

@@ -10,6 +10,7 @@
 
 #include "core/hmd.hh"
 #include "support/logging.hh"
+#include "support/parallel.hh"
 
 namespace rhmd::analysis::certify
 {
@@ -84,12 +85,9 @@ certifyPool(const core::Rhmd &pool,
         /** radii[i] = detector i's radius per epoch, epoch order. */
         std::vector<std::vector<double>> radii;
     };
-    support::ThreadPool &workers = options.pool != nullptr
-        ? *options.pool
-        : support::globalPool();
     const std::vector<ProgramPartial> partials =
         support::parallelMap<ProgramPartial>(
-            workers, test_idx.size(), [&](std::size_t p) {
+            test_idx.size(), [&](std::size_t p) {
                 const features::ProgramFeatures &prog =
                     corpus.programs[test_idx[p]];
                 ProgramPartial partial;

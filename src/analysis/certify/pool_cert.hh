@@ -43,7 +43,6 @@
 #include "analysis/certify/certifier.hh"
 #include "core/rhmd.hh"
 #include "features/corpus.hh"
-#include "support/parallel.hh"
 #include "support/status.hh"
 
 namespace rhmd::analysis::certify
@@ -64,9 +63,6 @@ struct CertifyOptions
 
     /** Bisection parameters for the MLP/RF searches. */
     CertifyConfig search{};
-
-    /** Worker pool; null means the process-global pool. */
-    support::ThreadPool *pool = nullptr;
 };
 
 /** Certified-radius statistics for one base detector. */

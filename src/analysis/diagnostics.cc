@@ -6,6 +6,7 @@
 #include "analysis/diagnostics.hh"
 
 #include "support/logging.hh"
+#include "support/metrics.hh"
 
 namespace rhmd::analysis
 {
@@ -68,48 +69,8 @@ Report::note(std::string_view pass, std::string_view code,
          std::move(message)});
 }
 
-void
-Report::merge(const Report &other)
-{
-    for (const Finding &finding : other.findings_)
-        add(finding);
-}
-
 namespace
 {
-
-/** Minimal JSON string escaping (quotes, backslash, control bytes). */
-void
-appendJsonString(std::string &out, std::string_view text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                constexpr char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-                out += hex[static_cast<unsigned char>(c) & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 appendIndex(std::string &out, std::string_view key, std::size_t value)
@@ -130,9 +91,9 @@ Report::toJsonLines(std::string_view program) const
 {
     std::string out;
     for (const Finding &finding : findings_) {
-        out += "{\"program\":";
-        appendJsonString(out, program);
-        out += ",\"severity\":\"";
+        out += "{\"program\":\"";
+        out += support::jsonEscape(program);
+        out += "\",\"severity\":\"";
         out += severityName(finding.severity);
         out += "\",\"pass\":\"";
         out += finding.pass;
@@ -142,9 +103,9 @@ Report::toJsonLines(std::string_view program) const
         appendIndex(out, "function", finding.function);
         appendIndex(out, "block", finding.block);
         appendIndex(out, "inst", finding.inst);
-        out += ",\"message\":";
-        appendJsonString(out, finding.message);
-        out += "}\n";
+        out += ",\"message\":\"";
+        out += support::jsonEscape(finding.message);
+        out += "\"}\n";
     }
     return out;
 }

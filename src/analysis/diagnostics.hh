@@ -79,9 +79,6 @@ class Report
     /** True when the program passed: no error-severity findings. */
     bool clean() const { return errors_ == 0; }
 
-    /** Append another report's findings. */
-    void merge(const Report &other);
-
     /**
      * Machine-readable form: one JSON object per finding, one per
      * line, tagged with @p program so corpus-wide streams stay

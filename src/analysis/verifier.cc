@@ -1,6 +1,6 @@
 /**
  * @file
- * Pass manager implementation.
+ * The verification pipeline.
  */
 
 #include "analysis/verifier.hh"
@@ -10,57 +10,14 @@
 namespace rhmd::analysis
 {
 
-void
-CfgVerifyPass::run(const trace::Program &prog, Report &report) const
-{
-    checkProgramCfg(prog, report, options_);
-}
-
-void
-PreservationPass::run(const trace::Program &prog, Report &report) const
-{
-    checkPreservation(prog, report);
-}
-
-Verifier::Verifier(const CfgOptions &cfg_options)
-{
-    passes_.push_back(std::make_unique<CfgVerifyPass>(cfg_options));
-    passes_.push_back(std::make_unique<PreservationPass>());
-}
-
-Verifier
-Verifier::empty()
-{
-    Verifier v;
-    v.passes_.clear();
-    return v;
-}
-
-void
-Verifier::addPass(std::unique_ptr<Pass> pass)
-{
-    passes_.push_back(std::move(pass));
-}
-
 Report
-Verifier::run(const trace::Program &prog) const
+verifyProgram(const trace::Program &prog, const CfgOptions &cfg_options)
 {
     Report report;
-    for (const auto &pass : passes_) {
-        const std::size_t errors_before = report.errorCount();
-        pass->run(prog, report);
-        // Later passes assume the invariants earlier ones establish
-        // (dataflow indexes blocks by just-checked branch targets).
-        if (report.errorCount() != errors_before)
-            break;
-    }
+    checkProgramCfg(prog, report, cfg_options);
+    if (report.errorCount() == 0)
+        checkPreservation(prog, report);
     return report;
-}
-
-Report
-verifyProgram(const trace::Program &prog)
-{
-    return Verifier().run(prog);
 }
 
 } // namespace rhmd::analysis

@@ -7,7 +7,6 @@
 
 #include "core/rhmd.hh"
 #include "support/logging.hh"
-#include "support/parallel.hh"
 
 namespace rhmd::core
 {
@@ -52,22 +51,8 @@ buildEnsemble(const std::string &algorithm,
               const std::vector<std::size_t> &train_idx,
               std::size_t opcode_top_k, std::uint64_t seed)
 {
-    fatal_if(specs.empty(), "buildEnsemble needs at least one spec");
-    // Base detectors already use index-derived seeds (seed + i + 1),
-    // so they train independently and in parallel.
-    std::vector<std::unique_ptr<Hmd>> pool =
-        support::parallelMap<std::unique_ptr<Hmd>>(
-            specs.size(), [&](std::size_t i) {
-                HmdConfig config;
-                config.algorithm = algorithm;
-                config.specs = {specs[i]};
-                config.opcodeTopK = opcode_top_k;
-                config.seed = seed + i + 1;
-                auto det = std::make_unique<Hmd>(config);
-                det->trainOnPrograms(corpus, train_idx);
-                return det;
-            });
-    return std::make_unique<EnsembleHmd>(std::move(pool));
+    return std::make_unique<EnsembleHmd>(trainSpecDetectors(
+        algorithm, specs, corpus, train_idx, opcode_top_k, seed));
 }
 
 } // namespace rhmd::core

@@ -47,8 +47,8 @@ class EnsembleHmd : public Detector
 };
 
 /**
- * Convenience builder mirroring buildRhmd: train one base detector
- * per (algorithm, spec) on ground truth and combine them.
+ * Convenience builder mirroring buildRhmd: trainSpecDetectors()
+ * combined into an ensemble.
  */
 std::unique_ptr<EnsembleHmd> buildEnsemble(
     const std::string &algorithm,

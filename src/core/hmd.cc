@@ -113,7 +113,8 @@ Hmd::train(const std::vector<const features::RawWindow *> &windows,
     // everything, so the balanced point is the faithful equivalent
     // of the paper's high-sensitivity/high-specificity operation.
     threshold_ = mixed
-        ? ml::bestBalancedThreshold(clf_->scoreBatch(data.x), data.y)
+        ? ml::rocCurve(clf_->scoreBatch(data.x), data.y)
+              .bestBalancedThreshold
         : 0.5;
 }
 
@@ -201,17 +202,6 @@ Hmd::decide(const features::ProgramFeatures &prog)
     for (double score : scores)
         decisions.push_back(score >= threshold_ ? 1 : 0);
     return decisions;
-}
-
-double
-Hmd::programScore(const features::ProgramFeatures &prog) const
-{
-    const auto &windows = prog.windows(decisionPeriod());
-    panic_if(windows.empty(), "program '", prog.name, "' has no windows");
-    double total = 0.0;
-    for (double score : scoreWindows(windowPointers(windows)))
-        total += score;
-    return total / static_cast<double>(windows.size());
 }
 
 std::vector<double>

@@ -139,9 +139,6 @@ class Hmd : public Detector
     std::vector<int>
     decide(const features::ProgramFeatures &prog) override;
 
-    /** Mean window score over a program (for ROC evaluation). */
-    double programScore(const features::ProgramFeatures &prog) const;
-
     /**
      * Marginal effect of each *raw* feature on the decision score:
      * the classifier weights mapped back through the standardizer

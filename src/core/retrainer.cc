@@ -256,6 +256,12 @@ retrainPool(const features::FeatureCorpus &base,
                 " out of range (corpus has ", base.programs.size(),
                 " programs)");
     }
+    std::vector<std::uint32_t> periods;
+    for (const features::FeatureSpec &spec : config.specs)
+        periods.push_back(spec.period);
+    const support::Status periods_ok = validateEpochPeriods(periods);
+    if (!periods_ok.isOk())
+        return periods_ok;
 
     // One detector per spec, trained in parallel. Seeds come from a
     // SplitRng stream indexed by (generation, detector) so every

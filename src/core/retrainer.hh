@@ -114,11 +114,13 @@ struct PoolRetrainConfig
  * Corpus-fed retraining entry point for the online pipeline
  * (DESIGN.md §16): train a fresh candidate pool on @p base's
  * @p train_idx programs plus @p flagged — suspect programs captured
- * from live traffic (labeled malware; typically replayed zero-copy
- * from a flight-recorder corpus file). Training parallelizes across
+ * from live traffic (labeled malware; typically replayed from a
+ * flight-recorder corpus file). Training parallelizes across
  * detectors on the deterministic thread pool; @p flagged may be
- * empty (rebuild on ground truth alone). Returns InvalidArgument for
- * an empty spec list, or the pool-invariant error from tryMakeRhmd.
+ * empty (rebuild on ground truth alone). Returns InvalidArgument,
+ * before any training, for an empty spec list, an out-of-range train
+ * index or a spec period that does not divide the longest one;
+ * otherwise any pool-invariant error from tryMakeRhmd.
  */
 support::StatusOr<std::unique_ptr<Rhmd>>
 retrainPool(const features::FeatureCorpus &base,

@@ -186,9 +186,8 @@ proxyAgreementOnTranscript(const VictimTranscript &transcript,
         std::size_t agree = 0;
         std::size_t total = 0;
     };
-    const Counts counts = support::parallelReduce<Counts>(
-        support::globalPool(), program_idx.size(), Counts{},
-        [&](std::size_t p) {
+    const std::vector<Counts> per_program = support::parallelMap<Counts>(
+        program_idx.size(), [&](std::size_t p) {
             const features::ProgramFeatures &prog =
                 corpus.programs[program_idx[p]];
             const std::vector<int> &victim_decisions =
@@ -205,12 +204,12 @@ proxyAgreementOnTranscript(const VictimTranscript &transcript,
                 ++c.total;
             }
             return c;
-        },
-        [](Counts acc, const Counts &c) {
-            acc.agree += c.agree;
-            acc.total += c.total;
-            return acc;
         });
+    Counts counts;
+    for (const Counts &c : per_program) {
+        counts.agree += c.agree;
+        counts.total += c.total;
+    }
     fatal_if(counts.total == 0, "no decisions to compare");
     return static_cast<double>(counts.agree) /
            static_cast<double>(counts.total);

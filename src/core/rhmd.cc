@@ -88,6 +88,7 @@ validateDetectorPool(const std::vector<std::unique_ptr<Hmd>> &detectors)
     if (detectors.empty())
         return support::invalidArgumentError(
             "pool needs at least one detector");
+    std::vector<std::uint32_t> periods;
     for (const auto &det : detectors) {
         if (det == nullptr)
             return support::invalidArgumentError(
@@ -95,14 +96,23 @@ validateDetectorPool(const std::vector<std::unique_ptr<Hmd>> &detectors)
         if (!det->trained())
             return support::failedPreconditionError(
                 "pool detectors must be trained before pooling");
+        periods.push_back(det->decisionPeriod());
     }
-    // Epoch alignment: every base period must divide the longest one
-    // so precollected windows line up with epoch boundaries.
-    const std::uint32_t epoch = poolEpoch(detectors);
-    for (const auto &det : detectors) {
-        if (epoch % det->decisionPeriod() != 0)
+    return validateEpochPeriods(periods);
+}
+
+support::Status
+validateEpochPeriods(const std::vector<std::uint32_t> &periods)
+{
+    // Precollected windows line up with epoch boundaries only when
+    // every base period divides the longest one.
+    std::uint32_t epoch = 0;
+    for (std::uint32_t period : periods)
+        epoch = std::max(epoch, period);
+    for (std::uint32_t period : periods) {
+        if (period == 0 || epoch % period != 0)
             return support::invalidArgumentError(
-                "base period ", det->decisionPeriod(),
+                "base period ", period,
                 " does not divide the epoch length ", epoch);
     }
     return {};
@@ -290,12 +300,6 @@ Rhmd::realizedPolicy() const
     return realized;
 }
 
-void
-Rhmd::reseed(std::uint64_t seed)
-{
-    rng_ = Rng(seed);
-}
-
 support::Status
 Rhmd::validate() const
 {
@@ -357,6 +361,36 @@ RotatingRhmd::decide(const features::ProgramFeatures &prog)
     return std::move(decisions[0]);
 }
 
+std::vector<std::unique_ptr<Hmd>>
+trainSpecDetectors(const std::string &algorithm,
+                   const std::vector<features::FeatureSpec> &specs,
+                   const features::FeatureCorpus &corpus,
+                   const std::vector<std::size_t> &train_idx,
+                   std::size_t opcode_top_k, std::uint64_t seed)
+{
+    fatal_if(specs.empty(), "a detector pool needs at least one spec");
+    std::vector<std::uint32_t> periods;
+    for (const features::FeatureSpec &spec : specs)
+        periods.push_back(spec.period);
+    // Checked before training starts, so a pool that cannot be built
+    // costs no training and starts no worker thread.
+    const support::Status periods_ok = validateEpochPeriods(periods);
+    fatal_if(!periods_ok.isOk(), periods_ok.message());
+    // Index-derived seeds let the detectors train independently and
+    // in parallel.
+    return support::parallelMap<std::unique_ptr<Hmd>>(
+        specs.size(), [&](std::size_t i) {
+            HmdConfig config;
+            config.algorithm = algorithm;
+            config.specs = {specs[i]};
+            config.opcodeTopK = opcode_top_k;
+            config.seed = seed + i + 1;
+            auto det = std::make_unique<Hmd>(config);
+            det->trainOnPrograms(corpus, train_idx);
+            return det;
+        });
+}
+
 std::unique_ptr<Rhmd>
 buildRhmd(const std::string &algorithm,
           const std::vector<features::FeatureSpec> &specs,
@@ -364,23 +398,10 @@ buildRhmd(const std::string &algorithm,
           const std::vector<std::size_t> &train_idx,
           std::size_t opcode_top_k, std::uint64_t seed)
 {
-    fatal_if(specs.empty(), "buildRhmd needs at least one spec");
-    // Base detectors already use index-derived seeds (seed + i + 1),
-    // so they train independently and in parallel.
-    std::vector<std::unique_ptr<Hmd>> pool =
-        support::parallelMap<std::unique_ptr<Hmd>>(
-            specs.size(), [&](std::size_t i) {
-                HmdConfig config;
-                config.algorithm = algorithm;
-                config.specs = {specs[i]};
-                config.opcodeTopK = opcode_top_k;
-                config.seed = seed + i + 1;
-                auto det = std::make_unique<Hmd>(config);
-                det->trainOnPrograms(corpus, train_idx);
-                return det;
-            });
-    return std::make_unique<Rhmd>(std::move(pool),
-                                  std::vector<double>{}, seed ^ 0xabcdef);
+    return std::make_unique<Rhmd>(
+        trainSpecDetectors(algorithm, specs, corpus, train_idx,
+                           opcode_top_k, seed),
+        std::vector<double>{}, seed ^ 0xabcdef);
 }
 
 support::StatusOr<std::unique_ptr<Rhmd>>

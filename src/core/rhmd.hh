@@ -30,8 +30,16 @@ support::Status validatePolicy(std::vector<double> &policy,
                                std::size_t n_detectors);
 
 /**
+ * InvalidArgument unless every period in @p periods divides the
+ * longest one (the epoch), so every base window starts on an epoch
+ * boundary.
+ */
+support::Status
+validateEpochPeriods(const std::vector<std::uint32_t> &periods);
+
+/**
  * Validate a detector pool: non-empty, no nulls, all trained, and
- * every base period divides the epoch (the longest period).
+ * every base period divides the epoch (validateEpochPeriods).
  */
 support::Status
 validateDetectorPool(const std::vector<std::unique_ptr<Hmd>> &detectors);
@@ -233,9 +241,6 @@ class Rhmd : public Detector
      */
     std::vector<double> realizedPolicy() const;
 
-    /** Reseed the switching randomness (reproducible replays). */
-    void reseed(std::uint64_t seed);
-
     /**
      * Re-run the pool and policy invariants on an already-constructed
      * pool. Construction validates too, but a pool offered for live
@@ -255,9 +260,21 @@ class Rhmd : public Detector
 };
 
 /**
- * Convenience builder: create and train one base detector per
- * (algorithm, spec) on the given ground-truth programs, then wrap
- * them in an Rhmd with a uniform policy.
+ * Train one base detector per (algorithm, spec) on the given
+ * ground-truth programs, in parallel; detector i is seeded with
+ * seed + i + 1. Exits (fatal) before any training when @p specs is
+ * empty or a spec period does not divide the longest one.
+ */
+std::vector<std::unique_ptr<Hmd>> trainSpecDetectors(
+    const std::string &algorithm,
+    const std::vector<features::FeatureSpec> &specs,
+    const features::FeatureCorpus &corpus,
+    const std::vector<std::size_t> &train_idx, std::size_t opcode_top_k,
+    std::uint64_t seed);
+
+/**
+ * Convenience builder: trainSpecDetectors() wrapped in an Rhmd with a
+ * uniform policy.
  */
 std::unique_ptr<Rhmd> buildRhmd(
     const std::string &algorithm,
@@ -308,7 +325,6 @@ class RotatingRhmd : public Detector
     {
         return candidates_;
     }
-    std::size_t activeSize() const { return activeSize_; }
 
     /** Indices of the currently active subset (for tests). */
     const std::vector<std::size_t> &activeSubset() const

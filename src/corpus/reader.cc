@@ -1,6 +1,6 @@
 /**
  * @file
- * Corpus reader implementation: mapping, validation, streaming.
+ * Corpus reader implementation: loading, validation, streaming.
  */
 
 #include "corpus/reader.hh"
@@ -11,14 +11,6 @@
 
 #include "corpus/format.hh"
 #include "support/logging.hh"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define RHMD_CORPUS_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace rhmd::corpus
 {
@@ -65,10 +57,7 @@ struct Cursor
 struct CorpusReader::Impl
 {
     std::string path;
-    const unsigned char *data = nullptr;
-    std::size_t size = 0;
-    bool isMmap = false;
-    std::vector<unsigned char> arena;
+    std::vector<unsigned char> bytes;
 
     std::uint32_t version = 0;
     std::uint64_t configKey = 0;
@@ -80,72 +69,33 @@ struct CorpusReader::Impl
     std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
         runs;
 
-    ~Impl()
-    {
-#ifdef RHMD_CORPUS_HAVE_MMAP
-        if (isMmap && data != nullptr)
-            ::munmap(const_cast<unsigned char *>(data), size);
-#endif
-    }
-
-    support::Status mapFile();
+    support::Status readFile();
 };
 
-/**
- * Map this->path read-only: mmap where available, falling back to an
- * arena read when mmap is unsupported or fails (e.g. a pseudo-file
- * a filesystem refuses to map). Fills data/size/isMmap/arena.
- */
+/** Read this->path whole into bytes with one buffered read. */
 support::Status
-CorpusReader::Impl::mapFile()
+CorpusReader::Impl::readFile()
 {
-    Impl &impl = *this;
-#ifdef RHMD_CORPUS_HAVE_MMAP
-    const int fd = ::open(impl.path.c_str(), O_RDONLY);
-    if (fd >= 0) {
-        struct stat st = {};
-        if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-            const std::size_t bytes =
-                static_cast<std::size_t>(st.st_size);
-            void *mapping =
-                ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-            if (mapping != MAP_FAILED) {
-                ::close(fd);
-                impl.data =
-                    static_cast<const unsigned char *>(mapping);
-                impl.size = bytes;
-                impl.isMmap = true;
-                return support::Status();
-            }
-        }
-        ::close(fd);
-    }
-#endif
-    // Arena fallback: buffered read of the whole file.
-    std::FILE *file = std::fopen(impl.path.c_str(), "rb");
+    std::FILE *file = std::fopen(path.c_str(), "rb");
     if (file == nullptr)
         return support::unavailableError("cannot open corpus file '",
-                                         impl.path, "'");
+                                         path, "'");
     std::fseek(file, 0, SEEK_END);
     const long where = std::ftell(file);
     if (where < 0) {
         std::fclose(file);
         return support::unavailableError("cannot size corpus file '",
-                                         impl.path, "'");
+                                         path, "'");
     }
     std::fseek(file, 0, SEEK_SET);
-    impl.arena.resize(static_cast<std::size_t>(where));
-    const std::size_t got = impl.arena.empty()
-                                ? 0
-                                : std::fread(impl.arena.data(), 1,
-                                             impl.arena.size(), file);
+    bytes.resize(static_cast<std::size_t>(where));
+    const std::size_t got =
+        bytes.empty() ? 0
+                      : std::fread(bytes.data(), 1, bytes.size(), file);
     std::fclose(file);
-    if (got != impl.arena.size())
+    if (got != bytes.size())
         return support::dataLossError("short read of corpus file '",
-                                      impl.path, "'");
-    impl.data = impl.arena.data();
-    impl.size = impl.arena.size();
-    impl.isMmap = false;
+                                      path, "'");
     return support::Status();
 }
 
@@ -155,8 +105,6 @@ CorpusReader::CorpusReader(std::unique_ptr<Impl> impl)
 }
 
 CorpusReader::CorpusReader(CorpusReader &&) noexcept = default;
-CorpusReader &CorpusReader::operator=(CorpusReader &&) noexcept =
-    default;
 CorpusReader::~CorpusReader() = default;
 
 support::StatusOr<CorpusReader>
@@ -164,11 +112,11 @@ CorpusReader::open(const std::string &path)
 {
     auto impl = std::make_unique<Impl>();
     impl->path = path;
-    support::Status st = impl->mapFile();
+    support::Status st = impl->readFile();
     if (!st.isOk())
         return st;
-    const unsigned char *data = impl->data;
-    const std::size_t size = impl->size;
+    const unsigned char *data = impl->bytes.data();
+    const std::size_t size = impl->bytes.size();
 
     if (size < kHeaderBytes + kTrailerBytes)
         return support::dataLossError(
@@ -333,13 +281,7 @@ CorpusReader::contentHash() const
 std::uint64_t
 CorpusReader::fileBytes() const
 {
-    return impl_->size;
-}
-
-bool
-CorpusReader::mapped() const
-{
-    return impl_->isMmap;
+    return impl_->bytes.size();
 }
 
 const std::vector<std::uint32_t> &
@@ -401,7 +343,7 @@ CorpusReader::stream(std::size_t program, std::uint32_t period) const
              "corpus program index out of range");
     const std::size_t pd = periodIndexOf(impl_->periods, period);
     const auto &[offset, count] = impl_->runs[program][pd];
-    return WindowStream(impl_->data + offset,
+    return WindowStream(impl_->bytes.data() + offset,
                         static_cast<std::size_t>(count));
 }
 

@@ -1,16 +1,15 @@
 /**
  * @file
- * Zero-copy corpus reader.
+ * Corpus reader.
  *
- * CorpusReader maps an RHMD-CORPUS file (mmap on POSIX hosts, an
- * arena buffered read as the fallback) and validates every byte up
- * front — magic, version, section tiling, and the per-section FNV-1a
- * checksums — before exposing any data, so downstream iteration can
- * trust offsets unconditionally. Window access goes through
- * WindowStream, which decodes fixed-size records straight out of the
- * mapping into a caller-owned RawWindow: no per-window allocation
- * and no materialized copy of the corpus, so iterating a corpus of
- * any size holds O(1) memory beyond the mapping itself.
+ * CorpusReader reads an RHMD-CORPUS file with one buffered read and
+ * validates every byte up front — magic, version, section tiling, and
+ * the per-section FNV-1a checksums — before exposing any data, so
+ * downstream iteration can trust offsets unconditionally. Window
+ * access goes through WindowStream, which decodes fixed-size records
+ * straight out of the file bytes into a caller-owned RawWindow: no
+ * per-window allocation, so iterating holds O(1) memory beyond the
+ * file bytes themselves.
  *
  * Error taxonomy (mirrors ml/serialize.hh): wrong magic is
  * InvalidArgument, an unsupported format version is
@@ -71,14 +70,13 @@ class CorpusReader
     };
 
     /**
-     * Map and validate @p path. See the file comment for the error
+     * Read and validate @p path. See the file comment for the error
      * taxonomy; an OK result guarantees every section checksum
      * matched and every window run lies inside the data section.
      */
     static support::StatusOr<CorpusReader> open(const std::string &path);
 
     CorpusReader(CorpusReader &&) noexcept;
-    CorpusReader &operator=(CorpusReader &&) noexcept;
     ~CorpusReader();
 
     std::uint32_t formatVersion() const;
@@ -89,9 +87,6 @@ class CorpusReader
 
     /** Total file size in bytes. */
     std::uint64_t fileBytes() const;
-
-    /** True when backed by mmap, false on the arena fallback. */
-    bool mapped() const;
 
     const std::vector<std::uint32_t> &periods() const;
     std::size_t programCount() const;

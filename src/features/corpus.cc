@@ -57,12 +57,6 @@ FeatureCorpus::malwareCount() const
     return count;
 }
 
-std::size_t
-FeatureCorpus::benignCount() const
-{
-    return programs.size() - malwareCount();
-}
-
 ProgramFeatures
 extractProgram(const trace::Program &program, const ExtractConfig &config)
 {

@@ -58,7 +58,6 @@ struct FeatureCorpus
     std::vector<std::uint32_t> periods;
 
     std::size_t malwareCount() const;
-    std::size_t benignCount() const;
 };
 
 /** Execute one program and extract its windows. */

@@ -41,14 +41,6 @@ FeatureSpec::dim() const
     rhmd_panic("bad feature kind");
 }
 
-std::vector<double>
-FeatureSpec::toVector(const RawWindow &window) const
-{
-    std::vector<double> out(dim(), 0.0);
-    appendTo(window, out.data());
-    return out;
-}
-
 void
 FeatureSpec::appendTo(const RawWindow &window, double *out) const
 {

@@ -49,13 +49,9 @@ struct FeatureSpec
     /** Dimensionality of vectors this spec produces. */
     std::size_t dim() const;
 
-    /** Convert one raw window into the numeric feature vector. */
-    std::vector<double> toVector(const RawWindow &window) const;
-
     /**
      * Write this spec's dim() feature values for @p window into
-     * @p out. The allocation-free form of toVector() used by the
-     * batch scoring path; values and computation order are identical.
+     * @p out: each count normalized by the window's instruction count.
      */
     void appendTo(const RawWindow &window, double *out) const;
 

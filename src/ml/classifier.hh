@@ -7,7 +7,6 @@
 #define RHMD_ML_CLASSIFIER_HH
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,8 +20,8 @@ namespace rhmd::ml
 /**
  * A binary classifier. scoreBatch() returns positive-class (malware)
  * probability-like values in [0, 1]; callers choose the operating
- * threshold (typically via metrics::bestAccuracyThreshold to match
- * the paper's "point on the ROC which maximizes the accuracy").
+ * threshold (typically the accuracy-optimal point of rocCurve(), to
+ * match the paper's "point on the ROC which maximizes the accuracy").
  */
 class Classifier
 {
@@ -53,9 +52,6 @@ class Classifier
         std::copy(x.begin(), x.end(), row.row(0));
         return scoreBatch(row).front();
     }
-
-    /** Deep copy (used to stamp out detector pools). */
-    virtual std::unique_ptr<Classifier> clone() const = 0;
 
     /** Algorithm name, e.g. "LR", "NN", "DT", "SVM". */
     virtual std::string name() const = 0;

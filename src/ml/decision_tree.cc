@@ -173,12 +173,6 @@ DecisionTree::scoreBatch(const features::FeatureMatrix &x) const
     return out;
 }
 
-std::unique_ptr<Classifier>
-DecisionTree::clone() const
-{
-    return std::make_unique<DecisionTree>(*this);
-}
-
 std::size_t
 DecisionTree::depth() const
 {

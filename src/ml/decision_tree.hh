@@ -48,7 +48,6 @@ class DecisionTree : public Classifier
     void train(const Dataset &data, Rng &rng) override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
-    std::unique_ptr<Classifier> clone() const override;
     std::string name() const override { return "DT"; }
 
     /** Number of nodes in the grown tree. */
@@ -59,9 +58,6 @@ class DecisionTree : public Classifier
 
     /** The grown node array (root at index 0; empty before train). */
     const std::vector<Node> &nodes() const { return nodes_; }
-
-    /** The grown tree in flat layout (rebuilt by train()). */
-    const FlatTree &flat() const { return flat_; }
 
   private:
     std::int32_t build(const Dataset &data,

@@ -89,12 +89,6 @@ LogisticRegression::scoreBatch(const features::FeatureMatrix &x) const
     return out;
 }
 
-std::unique_ptr<Classifier>
-LogisticRegression::clone() const
-{
-    return std::make_unique<LogisticRegression>(*this);
-}
-
 void
 LogisticRegression::setParams(std::vector<double> weights, double bias)
 {

@@ -38,7 +38,6 @@ class LogisticRegression : public Classifier
     void train(const Dataset &data, Rng &rng) override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
-    std::unique_ptr<Classifier> clone() const override;
     std::string name() const override { return "LR"; }
 
     /** Per-feature weights (valid after train()). */

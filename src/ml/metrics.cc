@@ -12,51 +12,6 @@
 namespace rhmd::ml
 {
 
-double
-Confusion::accuracy() const
-{
-    const std::size_t n = total();
-    if (n == 0)
-        return 0.0;
-    return static_cast<double>(tp + tn) / static_cast<double>(n);
-}
-
-double
-Confusion::sensitivity() const
-{
-    const std::size_t positives = tp + fn;
-    if (positives == 0)
-        return 0.0;
-    return static_cast<double>(tp) / static_cast<double>(positives);
-}
-
-double
-Confusion::specificity() const
-{
-    const std::size_t negatives = tn + fp;
-    if (negatives == 0)
-        return 0.0;
-    return static_cast<double>(tn) / static_cast<double>(negatives);
-}
-
-Confusion
-confusionAt(const std::vector<double> &scores,
-            const std::vector<int> &labels, double threshold)
-{
-    panic_if(scores.size() != labels.size(),
-             "confusionAt: size mismatch");
-    Confusion c;
-    for (std::size_t i = 0; i < scores.size(); ++i) {
-        const bool positive = scores[i] >= threshold;
-        if (labels[i] == 1) {
-            positive ? ++c.tp : ++c.fn;
-        } else {
-            positive ? ++c.fp : ++c.tn;
-        }
-    }
-    return c;
-}
-
 RocCurve
 rocCurve(const std::vector<double> &scores, const std::vector<int> &labels)
 {
@@ -136,37 +91,6 @@ rocCurve(const std::vector<double> &scores, const std::vector<int> &labels)
 
     roc.auc = area;
     return roc;
-}
-
-double
-auc(const std::vector<double> &scores, const std::vector<int> &labels)
-{
-    return rocCurve(scores, labels).auc;
-}
-
-double
-bestAccuracyThreshold(const std::vector<double> &scores,
-                      const std::vector<int> &labels)
-{
-    return rocCurve(scores, labels).bestThreshold;
-}
-
-double
-bestBalancedThreshold(const std::vector<double> &scores,
-                      const std::vector<int> &labels)
-{
-    return rocCurve(scores, labels).bestBalancedThreshold;
-}
-
-double
-agreement(const std::vector<int> &a, const std::vector<int> &b)
-{
-    panic_if(a.size() != b.size(), "agreement: size mismatch");
-    fatal_if(a.empty(), "agreement: empty input");
-    std::size_t same = 0;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        same += a[i] == b[i] ? 1 : 0;
-    return static_cast<double>(same) / static_cast<double>(a.size());
 }
 
 } // namespace rhmd::ml

@@ -1,43 +1,16 @@
 /**
  * @file
- * Classification metrics: confusion counts, sensitivity/specificity,
- * ROC curves, AUC, and the accuracy-optimal threshold the paper uses
- * as its HMD operating point.
+ * Classification metrics: ROC curves, AUC, and the accuracy-optimal
+ * threshold the paper uses as its HMD operating point.
  */
 
 #ifndef RHMD_ML_METRICS_HH
 #define RHMD_ML_METRICS_HH
 
-#include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace rhmd::ml
 {
-
-/** Binary confusion counts. */
-struct Confusion
-{
-    std::size_t tp = 0;
-    std::size_t fp = 0;
-    std::size_t tn = 0;
-    std::size_t fn = 0;
-
-    std::size_t total() const { return tp + fp + tn + fn; }
-
-    /** Fraction of all decisions that are correct. */
-    double accuracy() const;
-
-    /** True-positive rate (malware detected). */
-    double sensitivity() const;
-
-    /** True-negative rate (benign passed). */
-    double specificity() const;
-};
-
-/** Confusion of scores vs labels at a threshold. */
-Confusion confusionAt(const std::vector<double> &scores,
-                      const std::vector<int> &labels, double threshold);
 
 /** One ROC operating point. */
 struct RocPoint
@@ -67,29 +40,6 @@ struct RocCurve
  */
 RocCurve rocCurve(const std::vector<double> &scores,
                   const std::vector<int> &labels);
-
-/** Convenience: AUC only. */
-double auc(const std::vector<double> &scores,
-           const std::vector<int> &labels);
-
-/** Convenience: the accuracy-maximizing threshold. */
-double bestAccuracyThreshold(const std::vector<double> &scores,
-                             const std::vector<int> &labels);
-
-/**
- * Convenience: the balanced-accuracy-maximizing threshold. Detectors
- * operate here so a class-imbalanced training corpus does not push
- * the operating point into flagging everything.
- */
-double bestBalancedThreshold(const std::vector<double> &scores,
-                             const std::vector<int> &labels);
-
-/**
- * Agreement rate between two decision vectors — the paper's
- * reverse-engineering success metric ("percentage of equivalent
- * decisions made by the two detectors").
- */
-double agreement(const std::vector<int> &a, const std::vector<int> &b);
 
 } // namespace rhmd::ml
 

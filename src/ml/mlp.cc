@@ -162,12 +162,6 @@ Mlp::scoreBatch(const features::FeatureMatrix &x) const
     return out;
 }
 
-std::unique_ptr<Classifier>
-Mlp::clone() const
-{
-    return std::make_unique<Mlp>(*this);
-}
-
 void
 Mlp::setParams(std::vector<std::vector<double>> w1,
                std::vector<double> b1, std::vector<double> w2, double b2)

@@ -39,7 +39,6 @@ class Mlp : public Classifier
     void train(const Dataset &data, Rng &rng) override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
-    std::unique_ptr<Classifier> clone() const override;
     std::string name() const override { return "NN"; }
 
     /** Hidden-layer weights, [hidden][input]. */

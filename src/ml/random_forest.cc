@@ -111,10 +111,4 @@ RandomForest::scoreBatch(const features::FeatureMatrix &x) const
     return out;
 }
 
-std::unique_ptr<Classifier>
-RandomForest::clone() const
-{
-    return std::make_unique<RandomForest>(*this);
-}
-
 } // namespace rhmd::ml

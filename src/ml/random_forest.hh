@@ -41,7 +41,6 @@ class RandomForest : public Classifier
     void train(const Dataset &data, Rng &rng) override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
-    std::unique_ptr<Classifier> clone() const override;
     std::string name() const override { return "RF"; }
 
     /** Number of trained trees. */

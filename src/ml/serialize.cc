@@ -212,63 +212,6 @@ tryLoadModel(std::istream &is)
                                          "' in stream");
 }
 
-support::Status
-trySaveStandardizer(const Standardizer &standardizer, std::ostream &os)
-{
-    if (standardizer.mean.size() != standardizer.scale.size())
-        return support::invalidArgumentError(
-            "standardizer mean/scale length mismatch: ",
-            standardizer.mean.size(), " vs ",
-            standardizer.scale.size());
-    os.precision(std::numeric_limits<double>::max_digits10);
-    os << kStandardizerMagic << ' ' << kStandardizerFormatVersion
-       << '\n';
-    writeVector(os, standardizer.mean);
-    writeVector(os, standardizer.scale);
-    return {};
-}
-
-support::StatusOr<Standardizer>
-tryLoadStandardizer(std::istream &is)
-{
-    std::string magic;
-    if (!(is >> magic))
-        return support::dataLossError(
-            "corrupt standardizer stream: empty stream");
-    if (magic != kStandardizerMagic)
-        return support::invalidArgumentError(
-            "not an RHMD standardizer stream: bad magic '", magic, "'");
-    int version = 0;
-    if (!(is >> version))
-        return support::dataLossError(
-            "corrupt standardizer stream: missing format version");
-    if (version != kStandardizerFormatVersion)
-        return support::failedPreconditionError(
-            "unsupported standardizer format version ", version,
-            " (expected ", kStandardizerFormatVersion, ")");
-
-    auto mean = readVector(is);
-    if (!mean.isOk())
-        return mean.status();
-    auto scale = readVector(is);
-    if (!scale.isOk())
-        return scale.status();
-    if (mean->size() != scale->size())
-        return support::dataLossError(
-            "corrupt standardizer stream: mean/scale length mismatch");
-    // readVector() already rejected NaN/Inf; a non-positive scale is
-    // equally unusable — apply() would divide by zero or flip signs.
-    for (double s : *scale) {
-        if (s <= 0.0)
-            return support::dataLossError(
-                "corrupt standardizer stream: non-positive scale ", s);
-    }
-    Standardizer standardizer;
-    standardizer.mean = std::move(mean).value();
-    standardizer.scale = std::move(scale).value();
-    return standardizer;
-}
-
 void
 saveModel(const Classifier &model, std::ostream &os)
 {

@@ -19,7 +19,6 @@
 #include <string_view>
 
 #include "ml/classifier.hh"
-#include "ml/dataset.hh"
 #include "support/status.hh"
 
 namespace rhmd::ml
@@ -30,12 +29,6 @@ inline constexpr std::string_view kModelMagic = "RHMD-MODEL";
 
 /** Current serialization format version. */
 inline constexpr int kModelFormatVersion = 2;
-
-/** Magic word opening every serialized standardizer stream. */
-inline constexpr std::string_view kStandardizerMagic = "RHMD-STD";
-
-/** Current standardizer serialization format version. */
-inline constexpr int kStandardizerFormatVersion = 1;
 
 /**
  * Construct a fresh (untrained) classifier by algorithm name:
@@ -57,25 +50,6 @@ support::Status trySaveModel(const Classifier &model, std::ostream &os);
  */
 support::StatusOr<std::unique_ptr<Classifier>>
 tryLoadModel(std::istream &is);
-
-/**
- * Serialize a fitted standardizer ("RHMD-STD 1"). A model flashed to
- * detector SRAM is useless without the z-score transform it was
- * trained behind, so the two travel as a pair of streams. Returns
- * InvalidArgument when mean/scale lengths disagree.
- */
-support::Status trySaveStandardizer(const Standardizer &standardizer,
-                                    std::ostream &os);
-
-/**
- * Deserialize a standardizer written by trySaveStandardizer(). Returns
- * InvalidArgument for a wrong magic word; FailedPrecondition for an
- * unsupported version; DataLoss for truncated data, non-finite
- * mean/scale entries, non-positive scale entries (a zero scale would
- * turn apply() into NaN/Inf factories), or mismatched lengths. Never
- * aborts the process.
- */
-support::StatusOr<Standardizer> tryLoadStandardizer(std::istream &is);
 
 /** trySaveModel(), but fatal on error (config-time convenience). */
 void saveModel(const Classifier &model, std::ostream &os);

@@ -70,12 +70,6 @@ LinearSvm::scoreBatch(const features::FeatureMatrix &x) const
     return out;
 }
 
-std::unique_ptr<Classifier>
-LinearSvm::clone() const
-{
-    return std::make_unique<LinearSvm>(*this);
-}
-
 void
 LinearSvm::setParams(std::vector<double> weights, double bias)
 {

@@ -34,7 +34,6 @@ class LinearSvm : public Classifier
     void train(const Dataset &data, Rng &rng) override;
     std::vector<double>
     scoreBatch(const features::FeatureMatrix &x) const override;
-    std::unique_ptr<Classifier> clone() const override;
     std::string name() const override { return "SVM"; }
 
     const std::vector<double> &weights() const { return weights_; }

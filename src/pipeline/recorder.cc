@@ -105,10 +105,8 @@ FlightRecorder::flag(const features::ProgramFeatures &prog)
     if (!appended.isOk())
         return appended;
     ++programs_;
-    const std::uint64_t captured = writer_->windowTotal() - before;
-    windowsCaptured_ += captured;
     counters.programs.add(1);
-    counters.windows.add(captured);
+    counters.windows.add(writer_->windowTotal() - before);
     return support::Status();
 }
 
@@ -123,7 +121,7 @@ FlightRecorder::drain()
     if (!finalized.isOk())
         return finalized;
 
-    // Replay through the same mmap path every corpus consumer uses:
+    // Replay through the same read path every corpus consumer uses:
     // what the retrainer trains on is the decoded image of the bytes
     // the serving path flagged, not a parallel in-memory copy.
     auto reader = corpus::CorpusReader::open(config_.path);

@@ -6,15 +6,14 @@
  * When the drift detector marks a served request as a suspect, its
  * program's feature windows must survive until the next retrain round
  * — but buffering decoded windows in memory scales with attack
- * volume, and retraining wants the same zero-copy replay path every
- * other corpus consumer uses. FlightRecorder therefore streams each
- * flagged program straight into an RHMD-CORPUS spool file through
+ * volume, and retraining wants the same replay path every other
+ * corpus consumer uses. FlightRecorder therefore streams each flagged
+ * program straight into an RHMD-CORPUS spool file through
  * CorpusWriter (bounded memory: one program's windows at a time), and
- * drain() closes the spool, reopens it through the mmap-backed
- * CorpusReader, and materializes the flagged set for the retrainer —
- * the identical encode/verify/decode path DESIGN.md §15 proves
- * bit-exact, so a retrain round sees precisely the windows the
- * serving path scored.
+ * drain() closes the spool, reopens it through CorpusReader, and
+ * materializes the flagged set for the retrainer — the identical
+ * encode/verify/decode path DESIGN.md §15 proves bit-exact, so a
+ * retrain round sees precisely the windows the serving path scored.
  *
  * The spool's config key is derived from the period set alone (it is
  * live capture, not a generated corpus), and each drain cycle
@@ -82,18 +81,15 @@ class FlightRecorder
     bool empty() const { return programs_ == 0; }
 
     /**
-     * Finalize the spool, reopen it zero-copy through CorpusReader,
-     * and return the flagged programs; the recorder then starts a
-     * fresh cycle. Returns FailedPrecondition when the cycle is
-     * empty, or the reader/writer error.
+     * Finalize the spool, reopen it through CorpusReader, and return
+     * the flagged programs; the recorder then starts a fresh cycle.
+     * Returns FailedPrecondition when the cycle is empty, or the
+     * reader/writer error.
      */
     support::StatusOr<features::FeatureCorpus> drain();
 
     /** Content hash of the last drained spool (0 before any drain). */
     std::uint64_t lastContentHash() const { return lastHash_; }
-
-    /** Windows captured across all cycles (metrics mirror). */
-    std::uint64_t windowsCaptured() const { return windowsCaptured_; }
 
   private:
     /** Open a fresh spool writer, truncating the file. */
@@ -104,7 +100,6 @@ class FlightRecorder
     std::size_t programs_ = 0;
     std::size_t dropped_ = 0;
     std::uint64_t lastHash_ = 0;
-    std::uint64_t windowsCaptured_ = 0;
 };
 
 } // namespace rhmd::pipeline

@@ -66,8 +66,6 @@ class TokenBucket
      */
     bool tryAcquire(double now);
 
-    double tokens() const { return tokens_; }
-
   private:
     TenantQuota quota_;
     double tokens_;

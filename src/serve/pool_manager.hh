@@ -138,8 +138,6 @@ class PoolManager
     support::StatusOr<std::uint64_t>
     swapPool(std::shared_ptr<const core::Rhmd> candidate);
 
-    const PromotionGate &gate() const { return gate_; }
-
   private:
     runtime::HealthConfig healthConfig_;
     PromotionGate gate_;

@@ -7,9 +7,8 @@
  * decision at the admission boundary: a full queue must reject the
  * request *now* (so the caller gets Unavailable instead of unbounded
  * latency), while consumers block until work or shutdown arrives.
- * tryPush() is therefore non-blocking and push() blocking; both fail
- * once the queue is closed so producers and consumers drain cleanly
- * during shutdown.
+ * The pushes are therefore non-blocking, and they fail once the queue
+ * is closed so producers and consumers drain cleanly during shutdown.
  */
 
 #ifndef RHMD_SUPPORT_BOUNDED_QUEUE_HH
@@ -104,26 +103,6 @@ class BoundedQueue
     }
 
     /**
-     * Blocking enqueue: waits for space, returns false only when the
-     * queue was closed before the item could be accepted.
-     */
-    bool
-    push(T &&item)
-    {
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            notFull_.wait(lock, [this] {
-                return closed_ || items_.size() < capacity_;
-            });
-            if (closed_)
-                return false;
-            items_.push_back(std::move(item));
-        }
-        notEmpty_.notify_one();
-        return true;
-    }
-
-    /**
      * Blocking batch dequeue: waits until at least one element is
      * available (or the queue is closed and empty), then moves up to
      * @p max_batch elements into @p out (cleared first). Returns the
@@ -145,8 +124,6 @@ class BoundedQueue
                 items_.pop_front();
             }
         }
-        if (!out.empty())
-            notFull_.notify_all();
         return out.size();
     }
 
@@ -162,7 +139,6 @@ class BoundedQueue
             closed_ = true;
         }
         notEmpty_.notify_all();
-        notFull_.notify_all();
     }
 
     bool
@@ -186,7 +162,6 @@ class BoundedQueue
     const std::size_t capacity_;
     mutable std::mutex mutex_;
     std::condition_variable notEmpty_;
-    std::condition_variable notFull_;
     std::deque<T> items_;
     bool closed_ = false;
 };

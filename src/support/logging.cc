@@ -33,10 +33,4 @@ warn(const std::string &message)
     std::cerr << "warn: " << message << std::endl;
 }
 
-void
-inform(const std::string &message)
-{
-    std::cerr << "info: " << message << std::endl;
-}
-
 } // namespace rhmd

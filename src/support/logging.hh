@@ -7,7 +7,7 @@
  *            aborts so the failure is loud in tests.
  * fatal()  — the caller asked for something unsatisfiable (bad
  *            configuration); exits with an error code.
- * warn()/inform() — non-fatal status for the user.
+ * warn()  — non-fatal status for the user.
  */
 
 #ifndef RHMD_SUPPORT_LOGGING_HH
@@ -29,9 +29,6 @@ namespace rhmd
 
 /** Print a warning to stderr. */
 void warn(const std::string &message);
-
-/** Print an informational message to stderr. */
-void inform(const std::string &message);
 
 namespace detail
 {

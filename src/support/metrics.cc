@@ -135,12 +135,6 @@ Counter::reset()
 }
 
 void
-Gauge::set(double value)
-{
-    value_.store(value, std::memory_order_relaxed);
-}
-
-void
 Gauge::updateMax(double value)
 {
     double seen = value_.load(std::memory_order_relaxed);
@@ -404,12 +398,6 @@ MetricsRegistry::toJsonArray(bool include_timing) const
     }
     out += first ? "]" : "\n  ]";
     return out;
-}
-
-std::string
-MetricsRegistry::toJson(bool include_timing) const
-{
-    return "{\n  \"metrics\": " + toJsonArray(include_timing) + "\n}\n";
 }
 
 void

@@ -31,7 +31,7 @@
  * comparison. See DESIGN.md section 10 for the full contract.
  *
  * Two exposition formats: Prometheus text (toPrometheus) and a JSON
- * snapshot (toJson). A RunManifest (seed, threads, git describe,
+ * snapshot (toJsonArray). A RunManifest (seed, threads, git describe,
  * free-form config) identifies the producing run; every bench and
  * tool stamps one into its output so a snapshot is interpretable
  * without the shell command that produced it.
@@ -117,9 +117,8 @@ class Counter
 };
 
 /**
- * Last-written double with an atomic max variant. Gauges are only
- * deterministic when written from serial sections; concurrent set()
- * is last-writer-wins.
+ * High-water-mark double: updateMax() raises it atomically, so its
+ * value is the largest one observed since the last reset().
  */
 class Gauge
 {
@@ -127,8 +126,6 @@ class Gauge
     Gauge() = default;
     Gauge(const Gauge &) = delete;
     Gauge &operator=(const Gauge &) = delete;
-
-    void set(double value);
 
     /** Raise the gauge to @p value if it is larger (CAS loop). */
     void updateMax(double value);
@@ -226,9 +223,6 @@ class MetricsRegistry
      * the stripped form the determinism gate compares.
      */
     std::string toJsonArray(bool include_timing = true) const;
-
-    /** {"metrics": toJsonArray(...)}. */
-    std::string toJson(bool include_timing = true) const;
 
     /** Zero every registered metric (registrations survive). */
     void reset();

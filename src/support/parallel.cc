@@ -8,6 +8,7 @@
 #include <pthread.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>

@@ -14,11 +14,9 @@
  *    RHMD_THREADS=1) the pool degrades to inline serial execution,
  *    which keeps sanitizer and valgrind runs debuggable.
  *
- *  - parallelMap / parallelFor: index-space loops whose results are
- *    merged in *index order* regardless of completion order (ordered
- *    reduction). A Status-returning body cancels outstanding work on
- *    the first error; the error reported is the one with the lowest
- *    index, so even failures are deterministic.
+ *  - parallelMap: an index-space loop whose results land in *index
+ *    order* regardless of completion order, so a caller that folds
+ *    them in that order matches the serial run exactly.
  *
  *  - SplitRng (see support/rng.hh): derives an independent stream
  *    from (root seed, task index), so per-task randomness does not
@@ -34,7 +32,6 @@
 #ifndef RHMD_SUPPORT_PARALLEL_HH
 #define RHMD_SUPPORT_PARALLEL_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -42,8 +39,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "support/status.hh"
 
 namespace rhmd::support
 {
@@ -167,91 +162,6 @@ std::vector<T>
 parallelMap(std::size_t n, Body &&body)
 {
     return parallelMap<T>(globalPool(), n, std::forward<Body>(body));
-}
-
-/** Void loop over [0, n) with no result merge. */
-template <typename Body>
-void
-parallelFor(ThreadPool &pool, std::size_t n, Body &&body)
-{
-    detail::parallelForIndex(
-        pool, n, [&](std::size_t i) { body(i); });
-}
-
-/** parallelFor on the global pool. */
-template <typename Body>
-void
-parallelFor(std::size_t n, Body &&body)
-{
-    parallelFor(globalPool(), n, std::forward<Body>(body));
-}
-
-/**
- * Status-propagating loop with structured cancellation: the first
- * failure (by *lowest index*, not completion time) cancels all
- * not-yet-started work and is the Status returned. Indices whose
- * body never ran because of cancellation are simply skipped; indices
- * already running complete normally.
- */
-template <typename Body>
-Status
-parallelForStatus(ThreadPool &pool, std::size_t n, Body &&body)
-{
-    std::atomic<std::size_t> firstError{n};
-    std::mutex errMutex;
-    std::vector<std::pair<std::size_t, Status>> errors;
-
-    detail::parallelForIndex(pool, n, [&](std::size_t i) {
-        // Cancellation point: skip work ordered after a known error.
-        if (i > firstError.load(std::memory_order_acquire))
-            return;
-        Status status = body(i);
-        if (status.isOk())
-            return;
-        std::size_t seen = firstError.load(std::memory_order_acquire);
-        while (i < seen && !firstError.compare_exchange_weak(
-                               seen, i, std::memory_order_acq_rel)) {
-        }
-        const std::lock_guard<std::mutex> lock(errMutex);
-        errors.emplace_back(i, std::move(status));
-    });
-
-    const std::size_t winner =
-        firstError.load(std::memory_order_acquire);
-    if (winner == n)
-        return {};
-    for (auto &[index, status] : errors) {
-        if (index == winner)
-            return std::move(status);
-    }
-    rhmd_panic("parallelForStatus lost its first error");
-}
-
-/** parallelForStatus on the global pool. */
-template <typename Body>
-Status
-parallelForStatus(std::size_t n, Body &&body)
-{
-    return parallelForStatus(globalPool(), n,
-                             std::forward<Body>(body));
-}
-
-/**
- * Ordered reduction: map each index to a T, then fold the results
- * into @p init strictly in index order. The fold runs on the calling
- * thread, so non-associative merges (floating-point sums, audit
- * counters) still match the serial run exactly.
- */
-template <typename T, typename Acc, typename Body, typename Fold>
-Acc
-parallelReduce(ThreadPool &pool, std::size_t n, Acc init, Body &&body,
-               Fold &&fold)
-{
-    const std::vector<T> mapped =
-        parallelMap<T>(pool, n, std::forward<Body>(body));
-    for (std::size_t i = 0; i < n; ++i)
-        init = fold(std::move(init), mapped[i]);
-    return init;
 }
 
 } // namespace rhmd::support

@@ -5,17 +5,16 @@
  * Sensor reads in a deployed HMD fail transiently (bus contention,
  * counter-read races); runtime::FaultInjector::sense() retries them
  * under an exponential backoff budget instead of losing the epoch
- * outright. Backoff time
- * is virtual (accumulated in "units", e.g. microseconds of modelled
- * wait) so tests and the simulator stay deterministic and fast; a
- * real deployment would install a sleeper callback.
+ * outright. Backoff time is virtual (accumulated in "units", e.g.
+ * microseconds of modelled wait) so tests and the simulator stay
+ * deterministic and fast.
  */
 
 #ifndef RHMD_SUPPORT_RETRY_HH
 #define RHMD_SUPPORT_RETRY_HH
 
 #include <cstddef>
-#include <functional>
+#include <type_traits>
 
 #include "support/status.hh"
 
@@ -55,16 +54,13 @@ struct RetryStats
  * Run @p fn (returning StatusOr<T> or Status) until it succeeds, it
  * fails non-transiently, or the attempt budget is exhausted. Only
  * StatusCode::Unavailable is considered transient and retried; any
- * other error returns immediately. @p sleeper, when given, is called
- * with each backoff delay; @p stats, when given, accumulates retry
- * counts across calls.
+ * other error returns immediately. @p stats, when given, accumulates
+ * retry counts and backoff across calls.
  */
 template <typename Fn>
 auto
 retryWithBackoff(const RetryPolicy &policy, Fn &&fn,
-                 RetryStats *stats = nullptr,
-                 const std::function<void(double)> &sleeper = {})
-    -> decltype(fn())
+                 RetryStats *stats = nullptr) -> decltype(fn())
 {
     panic_if(policy.maxAttempts == 0, "RetryPolicy needs >= 1 attempt");
     for (std::size_t attempt = 1;; ++attempt) {
@@ -80,13 +76,10 @@ retryWithBackoff(const RetryPolicy &policy, Fn &&fn,
             attempt >= policy.maxAttempts) {
             return result;
         }
-        const double delay = backoffDelay(policy, attempt);
         if (stats != nullptr) {
             ++stats->retries;
-            stats->backoffSpent += delay;
+            stats->backoffSpent += backoffDelay(policy, attempt);
         }
-        if (sleeper)
-            sleeper(delay);
     }
 }
 

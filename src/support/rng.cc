@@ -16,7 +16,7 @@ namespace rhmd
 namespace
 {
 
-/** splitmix64 step, used for seed expansion and forking. */
+/** splitmix64 step, used for seed expansion. */
 std::uint64_t
 splitmix64(std::uint64_t &x)
 {
@@ -76,18 +76,6 @@ Rng::gaussian(double mean, double stddev)
     return mean + stddev * gaussian();
 }
 
-std::uint64_t
-Rng::geometric(double p)
-{
-    panic_if(p <= 0.0 || p > 1.0, "geometric requires p in (0, 1]");
-    if (p == 1.0)
-        return 0;
-    double u = uniform();
-    while (u <= 0.0)
-        u = uniform();
-    return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
-}
-
 std::size_t
 Rng::weightedIndex(const std::vector<double> &weights)
 {
@@ -137,12 +125,6 @@ Rng::permutation(std::size_t n)
         std::swap(idx[i - 1], idx[j]);
     }
     return idx;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xd1b54a32d192ed03ULL);
 }
 
 std::uint64_t

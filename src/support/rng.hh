@@ -64,12 +64,6 @@ class Rng
     double gaussian(double mean, double stddev);
 
     /**
-     * Geometric number of failures before a success, success
-     * probability p in (0, 1]. Mean (1-p)/p.
-     */
-    std::uint64_t geometric(double p);
-
-    /**
      * Sample an index from an unnormalized non-negative weight
      * vector. Requires at least one strictly positive weight.
      */
@@ -87,9 +81,6 @@ class Rng
     /** Fisher-Yates shuffle of an index permutation [0, n). */
     std::vector<std::size_t> permutation(std::size_t n);
 
-    /** Derive an independent child generator (splitmix64 of state). */
-    Rng fork();
-
   private:
     std::array<std::uint64_t, 4> state_;
     double cachedGauss_;
@@ -99,10 +90,10 @@ class Rng
 /**
  * Stateless per-task stream derivation for parallel loops.
  *
- * fork() advances the parent generator, so the stream a task receives
- * depends on how many forks happened before it — i.e. on iteration
- * order, which a thread pool must be free to ignore. SplitRng instead
- * derives task i's seed purely from (root seed, i) with two rounds of
+ * A stream drawn from a shared parent generator would depend on how
+ * many draws happened before it — i.e. on iteration order, which a
+ * thread pool must be free to ignore. SplitRng instead derives task
+ * i's seed purely from (root seed, i) with two rounds of
  * splitmix64-style mixing, so stream i is the same no matter which
  * thread materializes it or when; an N-thread loop is bit-identical
  * to the 1-thread loop. Streams for distinct indices are independent
@@ -119,8 +110,6 @@ class SplitRng
 
     /** A fresh generator positioned at the start of stream @p index. */
     Rng at(std::uint64_t index) const { return Rng(seedAt(index)); }
-
-    std::uint64_t root() const { return root_; }
 
   private:
     std::uint64_t root_;

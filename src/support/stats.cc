@@ -43,29 +43,6 @@ RunningStats::stddev() const
 }
 
 double
-mean(const std::vector<double> &values)
-{
-    if (values.empty())
-        return 0.0;
-    double total = 0.0;
-    for (double v : values)
-        total += v;
-    return total / static_cast<double>(values.size());
-}
-
-double
-stddev(const std::vector<double> &values)
-{
-    if (values.size() < 2)
-        return 0.0;
-    const double m = mean(values);
-    double accum = 0.0;
-    for (double v : values)
-        accum += (v - m) * (v - m);
-    return std::sqrt(accum / static_cast<double>(values.size() - 1));
-}
-
-double
 dot(const double *a, const double *b, std::size_t n)
 {
     double total = 0.0;

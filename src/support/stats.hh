@@ -48,12 +48,6 @@ class RunningStats
     double max_ = 0.0;
 };
 
-/** Mean of a vector (0 when empty). */
-double mean(const std::vector<double> &values);
-
-/** Sample standard deviation of a vector (0 when size < 2). */
-double stddev(const std::vector<double> &values);
-
 /**
  * Dot product of two @p n-element arrays, summed in ascending index
  * from 0.0 (the order every linear score and trainer relies on).

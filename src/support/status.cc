@@ -22,8 +22,6 @@ statusCodeName(StatusCode code)
         return "FAILED_PRECONDITION";
       case StatusCode::Unavailable:
         return "UNAVAILABLE";
-      case StatusCode::OutOfRange:
-        return "OUT_OF_RANGE";
       case StatusCode::Internal:
         return "INTERNAL";
     }

@@ -36,8 +36,6 @@ enum class StatusCode : std::uint8_t
     FailedPrecondition,
     /** Transient failure; retrying may succeed. */
     Unavailable,
-    /** A value fell outside its permitted range (NaN score, index). */
-    OutOfRange,
     /** Invariant violation surfaced as an error instead of a panic. */
     Internal,
 };
@@ -100,14 +98,6 @@ Status
 unavailableError(Args &&...args)
 {
     return Status(StatusCode::Unavailable,
-                  rhmd::detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-Status
-outOfRangeError(Args &&...args)
-{
-    return Status(StatusCode::OutOfRange,
                   rhmd::detail::concat(std::forward<Args>(args)...));
 }
 

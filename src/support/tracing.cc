@@ -62,31 +62,6 @@ TraceRegistry::toJsonArray() const
     return out;
 }
 
-std::string
-TraceRegistry::toText() const
-{
-    // Paths sort so that every parent precedes its children; depth is
-    // the number of separators.
-    const std::map<std::string, SpanStats> spans = snapshot();
-    std::string out;
-    for (const auto &[path, stats] : spans) {
-        std::size_t depth = 0;
-        std::size_t last = 0;
-        for (std::size_t i = 0; i < path.size(); ++i) {
-            if (path[i] == '/') {
-                ++depth;
-                last = i + 1;
-            }
-        }
-        out += std::string(depth * 2, ' ');
-        out += path.substr(last);
-        out += ": " + std::to_string(stats.count) + " call" +
-               (stats.count == 1 ? "" : "s") + ", " +
-               formatMetricValue(stats.seconds) + "s\n";
-    }
-    return out;
-}
-
 void
 TraceRegistry::reset()
 {

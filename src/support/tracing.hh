@@ -68,9 +68,6 @@ class TraceRegistry
     /** JSON array of {"path", "count", "seconds"}, sorted by path. */
     std::string toJsonArray() const;
 
-    /** Indented tree with per-node count and seconds. */
-    std::string toText() const;
-
     /** Forget every recorded span. */
     void reset();
 

@@ -12,12 +12,6 @@
 namespace rhmd::trace
 {
 
-const char *
-injectLevelName(InjectLevel level)
-{
-    return level == InjectLevel::Block ? "basic_block" : "function";
-}
-
 bool
 isInjectable(OpClass op)
 {
@@ -158,14 +152,6 @@ Injector::applyRandom(const Program &original, InjectLevel level,
                 makePayloadInst(pool[rng.below(pool.size())]));
         return payload;
     }, filter);
-}
-
-std::size_t
-Injector::siteCount(const Program &program, InjectLevel level)
-{
-    if (level == InjectLevel::Block)
-        return program.blockCount();
-    return program.retBlockCount();
 }
 
 double

@@ -35,9 +35,6 @@ enum class InjectLevel : std::uint8_t
     Function,  ///< before every return instruction
 };
 
-/** Human-readable name of an injection level. */
-const char *injectLevelName(InjectLevel level);
-
 /**
  * True when an opcode can be injected without altering program
  * semantics: control-flow opcodes would redirect execution, and
@@ -103,10 +100,6 @@ class Injector
     static Program applyRandom(const Program &original, InjectLevel level,
                                std::size_t count, std::uint64_t seed,
                                const SiteFilter &filter = {});
-
-    /** Number of injection sites the level has in the program. */
-    static std::size_t siteCount(const Program &program,
-                                 InjectLevel level);
 };
 
 /** Static (text-size) overhead of a rewritten program vs original. */

@@ -59,11 +59,8 @@ baselineBodyMix()
     return mix;
 }
 
-namespace
-{
-
 std::vector<double>
-applyOverrides(const std::vector<MixOverride> &overrides, bool absolute)
+mixSet(const std::vector<MixOverride> &overrides)
 {
     std::vector<double> mix = baselineBodyMix();
     for (const MixOverride &entry : overrides) {
@@ -71,26 +68,9 @@ applyOverrides(const std::vector<MixOverride> &overrides, bool absolute)
         panic_if(index >= kNumOpClasses, "bad override opcode");
         panic_if(isControlFlow(entry.op),
                  "body mix cannot weight control-flow opcodes");
-        if (absolute)
-            mix[index] = entry.scale;
-        else
-            mix[index] *= entry.scale;
+        mix[index] = entry.weight;
     }
     return mix;
-}
-
-} // namespace
-
-std::vector<double>
-mixWith(const std::vector<MixOverride> &overrides)
-{
-    return applyOverrides(overrides, false);
-}
-
-std::vector<double>
-mixSet(const std::vector<MixOverride> &overrides)
-{
-    return applyOverrides(overrides, true);
 }
 
 namespace

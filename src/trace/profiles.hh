@@ -85,19 +85,16 @@ struct FamilyProfile
 
 /**
  * A weight override applied on top of the common baseline mix:
- * multiplies the baseline weight of @p op by @p scale.
+ * mixSet() replaces the baseline weight of @p op with @p weight.
  */
 struct MixOverride
 {
     OpClass op;
-    double scale;
+    double weight;
 };
 
 /** The shared baseline opcode mix typical integer code exhibits. */
 std::vector<double> baselineBodyMix();
-
-/** Baseline scaled by the given per-opcode overrides. */
-std::vector<double> mixWith(const std::vector<MixOverride> &overrides);
 
 /**
  * Baseline with the given opcodes' weights *replaced* by absolute

@@ -12,17 +12,6 @@
 namespace rhmd::trace
 {
 
-std::size_t
-Program::staticInstCount() const
-{
-    std::size_t count = 0;
-    for (const Function &fn : functions) {
-        for (const BasicBlock &block : fn.blocks)
-            count += block.instCount();
-    }
-    return count;
-}
-
 std::uint64_t
 Program::textBytes() const
 {
@@ -32,28 +21,6 @@ Program::textBytes() const
             bytes += block.byteSize();
     }
     return bytes;
-}
-
-std::size_t
-Program::blockCount() const
-{
-    std::size_t count = 0;
-    for (const Function &fn : functions)
-        count += fn.blocks.size();
-    return count;
-}
-
-std::size_t
-Program::retBlockCount() const
-{
-    std::size_t count = 0;
-    for (const Function &fn : functions) {
-        for (const BasicBlock &block : fn.blocks) {
-            if (block.term.kind == TermKind::Ret)
-                ++count;
-        }
-    }
-    return count;
 }
 
 void

@@ -45,17 +45,8 @@ struct Program
     std::vector<Function> functions;  ///< entry is functions[0]
     std::vector<MemRegion> regions;   ///< data regions; [0] is stack
 
-    /** Total static instruction count over all blocks. */
-    std::size_t staticInstCount() const;
-
     /** Total code bytes ("text segment" size). */
     std::uint64_t textBytes() const;
-
-    /** Total number of basic blocks. */
-    std::size_t blockCount() const;
-
-    /** Number of blocks whose terminator is a return. */
-    std::size_t retBlockCount() const;
 
     /**
      * Assign code addresses to every block: functions are laid out

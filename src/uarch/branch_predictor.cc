@@ -1,6 +1,6 @@
 /**
  * @file
- * Branch predictor construction and reset.
+ * Branch predictor construction.
  */
 
 #include "uarch/branch_predictor.hh"
@@ -20,13 +20,6 @@ BranchPredictor::BranchPredictor(std::uint32_t table_bits,
     tableMask_ = (std::uint64_t{1} << table_bits) - 1;
     historyMask_ = (std::uint64_t{1} << history_bits) - 1;
     counters_.assign(std::size_t{1} << table_bits, 1);  // weakly NT
-}
-
-void
-BranchPredictor::reset()
-{
-    counters_.assign(counters_.size(), 1);
-    history_ = 0;
 }
 
 } // namespace rhmd::uarch

@@ -53,9 +53,6 @@ class BranchPredictor
         history_ = (history_ << 1) | (taken ? 1 : 0);
     }
 
-    /** Clear all state. */
-    void reset();
-
   private:
     std::size_t
     index(std::uint64_t pc) const

@@ -30,11 +30,4 @@ CpiModel::cpi() const
     return cycles_ / static_cast<double>(instructions_);
 }
 
-void
-CpiModel::reset()
-{
-    cycles_ = 0.0;
-    instructions_ = 0;
-}
-
 } // namespace rhmd::uarch

@@ -64,9 +64,6 @@ class CpiModel
     /** Cycles per instruction so far (0 when empty). */
     double cpi() const;
 
-    /** Zero the accumulators. */
-    void reset();
-
   private:
     CpiConfig config_;
     /**

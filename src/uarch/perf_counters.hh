@@ -42,9 +42,6 @@ enum class Event : std::uint8_t
 constexpr std::size_t kNumEvents =
     static_cast<std::size_t>(Event::NumEvents);
 
-/** Display name of an event. */
-std::string_view eventName(Event event);
-
 /** Per-window event counters. */
 using EventCounts = std::array<std::uint64_t, kNumEvents>;
 
@@ -104,9 +101,6 @@ class PerfMonitor
 
     /** Zero the window counters (structural state persists). */
     void clearCounts() { counts_.fill(0); }
-
-    /** Full reset: counters and structural state. */
-    void reset();
 
   private:
     void

@@ -58,16 +58,6 @@ TEST(Bimodal, DistinctPcsIndependent)
     EXPECT_FALSE(pred.predict(b));
 }
 
-TEST(Bimodal, ResetRestoresColdState)
-{
-    BranchPredictor pred(10);
-    const std::uint64_t pc = 0x400300;
-    for (int i = 0; i < 4; ++i)
-        pred.update(pc, true);
-    pred.reset();
-    EXPECT_FALSE(pred.predict(pc));
-}
-
 TEST(Bimodal, RejectsBadConfig)
 {
     EXPECT_EXIT(BranchPredictor(0), ::testing::ExitedWithCode(1),
@@ -113,16 +103,6 @@ TEST(Gshare, LearnsPeriodicPattern)
         gshare.update(pc, taken);
     }
     EXPECT_GT(correct / 3600.0, 0.95);
-}
-
-TEST(Gshare, ResetClearsHistory)
-{
-    BranchPredictor gshare(10, 8);
-    const std::uint64_t pc = 0x400600;
-    for (int i = 0; i < 100; ++i)
-        gshare.update(pc, true);
-    gshare.reset();
-    EXPECT_FALSE(gshare.predict(pc));  // cold weakly-not-taken
 }
 
 TEST(Gshare, RejectsHistoryLongerThanTable)

@@ -19,6 +19,7 @@
 #include "ml/svm.hh"
 #include "serve/pool_manager.hh"
 #include "support/metrics.hh"
+#include "support/parallel.hh"
 
 namespace
 {
@@ -179,10 +180,6 @@ TEST(Certifier, UnknownFamilyIsFatal)
         {
             return std::vector<double>(m.rows(), 1.0);
         }
-        std::unique_ptr<ml::Classifier> clone() const override
-        {
-            return std::make_unique<Opaque>();
-        }
         std::string name() const override { return "OPAQUE"; }
     };
     const Opaque opaque;
@@ -277,17 +274,13 @@ TEST(PoolCert, BitIdenticalAcrossThreadCounts)
     const core::Experiment &exp = sharedExperiment();
     const auto pool = diversePool(5);
 
-    support::ThreadPool serial(1);
-    support::ThreadPool wide(4);
-    CertifyOptions opt_serial;
-    opt_serial.pool = &serial;
-    CertifyOptions opt_wide;
-    opt_wide.pool = &wide;
-
-    const auto a = certifyPool(*pool, exp.corpus(),
-                               exp.split().attackerTest, opt_serial);
-    const auto b = certifyPool(*pool, exp.corpus(),
-                               exp.split().attackerTest, opt_wide);
+    support::setGlobalThreads(1);
+    const auto a =
+        certifyPool(*pool, exp.corpus(), exp.split().attackerTest);
+    support::setGlobalThreads(4);
+    const auto b =
+        certifyPool(*pool, exp.corpus(), exp.split().attackerTest);
+    support::setGlobalThreads(0);
     ASSERT_TRUE(a.isOk());
     ASSERT_TRUE(b.isOk());
 

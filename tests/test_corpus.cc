@@ -36,7 +36,6 @@ TEST(Corpus, ProgramsCarryLabelsAndWindows)
 {
     const FeatureCorpus corpus = smallCorpus();
     EXPECT_EQ(corpus.programs.size(), 36u);
-    EXPECT_EQ(corpus.benignCount(), 12u);
     EXPECT_EQ(corpus.malwareCount(), 24u);
     for (const ProgramFeatures &prog : corpus.programs) {
         EXPECT_EQ(prog.windows(5000).size(), 6u);

@@ -82,15 +82,6 @@ TEST(CpiModel, MultipleMissesScaleLinearly)
                 1e-12);
 }
 
-TEST(CpiModel, ResetZeroes)
-{
-    CpiModel model;
-    model.account(simpleInst(OpClass::IntAdd), {});
-    model.reset();
-    EXPECT_EQ(model.cycles(), 0.0);
-    EXPECT_EQ(model.instructions(), 0u);
-}
-
 TEST(CpiModel, CpiIsCyclesOverInstructions)
 {
     CpiModel model;

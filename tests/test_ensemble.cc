@@ -221,9 +221,15 @@ TEST(EvadeAll, PayloadCombinesAllModels)
         original, models, trace::InjectLevel::Block, 2);
 
     // Injected instructions per block = 2 per model.
-    const std::size_t injected =
-        rewritten.staticInstCount() - original.staticInstCount();
-    EXPECT_EQ(injected, original.blockCount() * models.size() * 2);
+    ASSERT_EQ(rewritten.functions.size(), original.functions.size());
+    for (std::size_t f = 0; f < original.functions.size(); ++f) {
+        const auto &before = original.functions[f].blocks;
+        const auto &after = rewritten.functions[f].blocks;
+        ASSERT_EQ(after.size(), before.size());
+        for (std::size_t b = 0; b < before.size(); ++b)
+            EXPECT_EQ(after[b].body.size(),
+                      before[b].body.size() + models.size() * 2);
+    }
 }
 
 TEST(EvadeAll, DefeatsTheKnownStaticPool)

@@ -85,7 +85,7 @@ TEST(Experiment, VictimQualityAcrossFeatures)
         std::vector<double> scores;
         for (const auto *w : windows)
             scores.push_back(victim->windowScore(*w));
-        const double roc_auc = ml::auc(scores, labels);
+        const double roc_auc = ml::rocCurve(scores, labels).auc;
         EXPECT_GT(roc_auc, 0.6) << features::featureKindName(kind);
         if (kind == features::FeatureKind::Instructions)
             inst_auc = roc_auc;

@@ -65,6 +65,15 @@ TEST(FeatureSpec, Dimensions)
     EXPECT_EQ(arch.dim(), uarch::kNumEvents);
 }
 
+/** @p spec's feature vector for @p window, through fillCombined. */
+std::vector<double>
+featureVector(const FeatureSpec &spec, const RawWindow &window)
+{
+    std::vector<double> v(spec.dim());
+    fillCombined({spec}, window, v.data());
+    return v;
+}
+
 TEST(FeatureSpec, ToVectorNormalizesByWindowLength)
 {
     RawWindow window;
@@ -75,7 +84,7 @@ TEST(FeatureSpec, ToVectorNormalizesByWindowLength)
     FeatureSpec spec;
     spec.kind = FeatureKind::Instructions;
     spec.opcodeSel = {3, 7, 9};
-    const auto v = spec.toVector(window);
+    const auto v = featureVector(spec, window);
     ASSERT_EQ(v.size(), 3u);
     EXPECT_NEAR(v[0], 0.20, 1e-12);
     EXPECT_NEAR(v[1], 0.05, 1e-12);
@@ -89,7 +98,7 @@ TEST(FeatureSpec, MemoryVectorUsesBins)
     window.memDeltaBins[2] = 10;
     FeatureSpec spec;
     spec.kind = FeatureKind::Memory;
-    const auto v = spec.toVector(window);
+    const auto v = featureVector(spec, window);
     EXPECT_NEAR(v[2], 0.2, 1e-12);
 }
 
@@ -100,7 +109,7 @@ TEST(FeatureSpec, ArchitecturalVectorUsesEvents)
     window.events[static_cast<std::size_t>(uarch::Event::Loads)] = 50;
     FeatureSpec spec;
     spec.kind = FeatureKind::Architectural;
-    const auto v = spec.toVector(window);
+    const auto v = featureVector(spec, window);
     EXPECT_NEAR(v[static_cast<std::size_t>(uarch::Event::Loads)], 0.25,
                 1e-12);
 }

@@ -220,19 +220,6 @@ TEST(Hmd, SingleClassTrainingFallsBack)
     EXPECT_EQ(hmd.specs().front().opcodeSel.size(), 16u);
 }
 
-TEST(Hmd, ProgramScoreIsMeanWindowScore)
-{
-    const Experiment &exp = sharedExperiment();
-    const auto victim = exp.trainVictim(
-        "LR", features::FeatureKind::Instructions, 10000);
-    const auto &prog = exp.corpus().programs[2];
-    double sum = 0.0;
-    for (const auto &w : prog.windows(10000))
-        sum += victim->windowScore(w);
-    EXPECT_NEAR(victim->programScore(prog),
-                sum / prog.windows(10000).size(), 1e-12);
-}
-
 /** Every algorithm trains and detects above chance. */
 class HmdAlgorithmSweep
     : public ::testing::TestWithParam<const char *>

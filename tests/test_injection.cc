@@ -73,16 +73,6 @@ TEST(Injection, RejectsControlFlowPayload)
                 ::testing::ExitedWithCode(1), "semantics");
 }
 
-TEST(Injection, SiteCounts)
-{
-    const Program prog = generated();
-    EXPECT_EQ(Injector::siteCount(prog, InjectLevel::Block),
-              prog.blockCount());
-    EXPECT_EQ(Injector::siteCount(prog, InjectLevel::Function),
-              prog.retBlockCount());
-    EXPECT_GT(prog.blockCount(), prog.retBlockCount());
-}
-
 TEST(Injection, BlockLevelGrowsEveryBlock)
 {
     const Program prog = generated();
@@ -270,12 +260,6 @@ TEST(Injection, RandomIsDeterministicPerSeed)
                 EXPECT_EQ(ba[i].op, bb[i].op);
         }
     }
-}
-
-TEST(Injection, LevelNames)
-{
-    EXPECT_STREQ(injectLevelName(InjectLevel::Block), "basic_block");
-    EXPECT_STREQ(injectLevelName(InjectLevel::Function), "function");
 }
 
 } // namespace

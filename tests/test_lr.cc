@@ -49,7 +49,7 @@ TEST(Lr, LearnsSeparableBlobs)
     lr.train(data, rng);
 
     const std::vector<double> scores = lr.scoreBatch(data.x);
-    EXPECT_GT(auc(scores, data.y), 0.97);
+    EXPECT_GT(rocCurve(scores, data.y).auc, 0.97);
 }
 
 TEST(Lr, WeightsPointTowardsPositiveClass)
@@ -121,7 +121,7 @@ TEST(Lr, HarderOverlapStillAboveChance)
     Rng rng(7);
     lr.train(data, rng);
     const std::vector<double> scores = lr.scoreBatch(data.x);
-    const double a = auc(scores, data.y);
+    const double a = rocCurve(scores, data.y).auc;
     EXPECT_GT(a, 0.6);
     EXPECT_LT(a, 0.85);  // not suspiciously perfect
 }

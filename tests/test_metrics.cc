@@ -96,11 +96,11 @@ TEST(Counter, ResetKeepsRegistration)
     EXPECT_EQ(&reg.counter("demo.events", "events"), &c);
 }
 
-TEST(Gauge, SetAndUpdateMax)
+TEST(Gauge, UpdateMaxKeepsTheLargest)
 {
     MetricsRegistry reg;
     Gauge &g = reg.gauge("demo.depth", "queue depth");
-    g.set(2.5);
+    g.updateMax(2.5);
     EXPECT_EQ(g.value(), 2.5);
     g.updateMax(1.0);
     EXPECT_EQ(g.value(), 2.5);
@@ -142,7 +142,7 @@ TEST(MergeDeterminism, CounterAndHistogramAcrossThreadCounts)
         Histogram &picks =
             reg.histogram("demo.pick", "pick index", {0.0, 1.0, 2.0});
         ThreadPool pool(threads);
-        parallelFor(pool, kTasks, [&](std::size_t i) {
+        detail::parallelForIndex(pool, kTasks, [&](std::size_t i) {
             events.add(i % 3);
             picks.observe(static_cast<double>(i % 4));
         });
@@ -163,7 +163,7 @@ TEST(Exposition, GoldenPrometheus)
 {
     MetricsRegistry reg;
     reg.counter("demo.events", "events observed").add(3);
-    reg.gauge("demo.depth", "queue depth").set(2.5);
+    reg.gauge("demo.depth", "queue depth").updateMax(2.5);
     Histogram &h =
         reg.histogram("demo.pick", "pick index", {0.0, 1.0, 2.0});
     h.observe(0.0);
@@ -194,7 +194,7 @@ TEST(Exposition, GoldenJsonStripsTimingDomain)
     reg.counter("demo.events", "events").add(3);
     // Gauges default to the Timing domain: stripped when the
     // deterministic view is requested.
-    reg.gauge("demo.depth", "queue depth").set(2.5);
+    reg.gauge("demo.depth", "queue depth").updateMax(2.5);
 
     EXPECT_EQ(reg.toJsonArray(/*include_timing=*/false),
               "[\n"
@@ -235,11 +235,6 @@ TEST(Spans, NestedScopesAggregateBySlashPath)
     EXPECT_EQ(spans.at("outer/inner").count, 3u);
     EXPECT_GE(spans.at("outer").seconds,
               spans.at("outer/inner").seconds);
-
-    const std::string text = TraceRegistry::instance().toText();
-    EXPECT_NE(text.find("outer: 1 call"), std::string::npos) << text;
-    EXPECT_NE(text.find("  inner: 3 calls"), std::string::npos)
-        << text;
     TraceRegistry::instance().reset();
 }
 
@@ -247,7 +242,7 @@ TEST(Spans, WorkerThreadsRootTheirOwnStacks)
 {
     TraceRegistry::instance().reset();
     ThreadPool pool(4);
-    parallelFor(pool, 16, [](std::size_t) {
+    detail::parallelForIndex(pool, 16, [](std::size_t) {
         ScopedSpan span("task");
     });
     const auto spans = TraceRegistry::instance().snapshot();

@@ -13,37 +13,6 @@ namespace
 
 using namespace rhmd::ml;
 
-TEST(Confusion, RatesFromCounts)
-{
-    Confusion c;
-    c.tp = 8;
-    c.fn = 2;
-    c.tn = 15;
-    c.fp = 5;
-    EXPECT_NEAR(c.accuracy(), 23.0 / 30.0, 1e-12);
-    EXPECT_NEAR(c.sensitivity(), 0.8, 1e-12);
-    EXPECT_NEAR(c.specificity(), 0.75, 1e-12);
-}
-
-TEST(Confusion, EmptyIsZero)
-{
-    Confusion c;
-    EXPECT_EQ(c.accuracy(), 0.0);
-    EXPECT_EQ(c.sensitivity(), 0.0);
-    EXPECT_EQ(c.specificity(), 0.0);
-}
-
-TEST(ConfusionAt, ThresholdSplitsScores)
-{
-    const std::vector<double> scores{0.1, 0.4, 0.6, 0.9};
-    const std::vector<int> labels{0, 1, 0, 1};
-    const Confusion c = confusionAt(scores, labels, 0.5);
-    EXPECT_EQ(c.tp, 1u);  // 0.9
-    EXPECT_EQ(c.fn, 1u);  // 0.4
-    EXPECT_EQ(c.fp, 1u);  // 0.6
-    EXPECT_EQ(c.tn, 1u);  // 0.1
-}
-
 TEST(Roc, PerfectClassifierHasAucOne)
 {
     const std::vector<double> scores{0.9, 0.8, 0.2, 0.1};
@@ -57,7 +26,7 @@ TEST(Roc, InvertedClassifierHasAucZero)
 {
     const std::vector<double> scores{0.1, 0.2, 0.8, 0.9};
     const std::vector<int> labels{1, 1, 0, 0};
-    EXPECT_NEAR(auc(scores, labels), 0.0, 1e-12);
+    EXPECT_NEAR(rocCurve(scores, labels).auc, 0.0, 1e-12);
 }
 
 TEST(Roc, RandomScoresNearHalf)
@@ -69,7 +38,7 @@ TEST(Roc, RandomScoresNearHalf)
         scores.push_back(rng.uniform());
         labels.push_back(rng.chance(0.5) ? 1 : 0);
     }
-    EXPECT_NEAR(auc(scores, labels), 0.5, 0.03);
+    EXPECT_NEAR(rocCurve(scores, labels).auc, 0.5, 0.03);
 }
 
 TEST(Roc, HandComputedCase)
@@ -78,7 +47,7 @@ TEST(Roc, HandComputedCase)
     // exactly three rank the positive higher, so AUC = 3/4.
     const std::vector<double> scores{0.8, 0.6, 0.4, 0.2};
     const std::vector<int> labels{1, 0, 1, 0};
-    EXPECT_NEAR(auc(scores, labels), 0.75, 1e-12);
+    EXPECT_NEAR(rocCurve(scores, labels).auc, 0.75, 1e-12);
 }
 
 TEST(Roc, TiedScoresHandledAsOnePoint)
@@ -115,7 +84,7 @@ TEST(Roc, AucEqualsMannWhitney)
             }
         }
     }
-    EXPECT_NEAR(auc(scores, labels), wins / pairs, 1e-9);
+    EXPECT_NEAR(rocCurve(scores, labels).auc, wins / pairs, 1e-9);
 }
 
 TEST(Roc, BestThresholdMaximizesAccuracy)
@@ -123,27 +92,22 @@ TEST(Roc, BestThresholdMaximizesAccuracy)
     const std::vector<double> scores{0.9, 0.7, 0.6, 0.3, 0.2, 0.1};
     const std::vector<int> labels{1, 1, 0, 1, 0, 0};
     const RocCurve roc = rocCurve(scores, labels);
-    const Confusion at_best =
-        confusionAt(scores, labels, roc.bestThreshold);
-    EXPECT_NEAR(at_best.accuracy(), roc.bestAccuracy, 1e-12);
+    const auto accuracy_at = [&](double threshold) {
+        double correct = 0.0;
+        for (std::size_t i = 0; i < scores.size(); ++i)
+            correct += (scores[i] >= threshold) == (labels[i] == 1);
+        return correct / static_cast<double>(scores.size());
+    };
+    EXPECT_NEAR(accuracy_at(roc.bestThreshold), roc.bestAccuracy, 1e-12);
     // Check optimality against a dense threshold sweep.
-    for (double t = 0.0; t <= 1.0; t += 0.01) {
-        EXPECT_LE(confusionAt(scores, labels, t).accuracy(),
-                  roc.bestAccuracy + 1e-12);
-    }
+    for (double t = 0.0; t <= 1.0; t += 0.01)
+        EXPECT_LE(accuracy_at(t), roc.bestAccuracy + 1e-12);
 }
 
 TEST(Roc, RequiresBothClasses)
 {
     EXPECT_EXIT(rocCurve({0.5, 0.6}, {1, 1}),
                 ::testing::ExitedWithCode(1), "both classes");
-}
-
-TEST(Agreement, CountsMatches)
-{
-    EXPECT_NEAR(agreement({1, 0, 1, 1}, {1, 1, 1, 0}), 0.5, 1e-12);
-    EXPECT_NEAR(agreement({1, 1}, {1, 1}), 1.0, 1e-12);
-    EXPECT_NEAR(agreement({0}, {1}), 0.0, 1e-12);
 }
 
 } // namespace

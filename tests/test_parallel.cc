@@ -27,8 +27,6 @@ namespace
 {
 
 using namespace rhmd;
-using support::Status;
-using support::StatusCode;
 using support::ThreadPool;
 
 TEST(ThreadPool, SerialFallbackRunsInline)
@@ -123,75 +121,6 @@ TEST(Parallel, OrderedReductionUnderShuffledCompletion)
         for (std::size_t i = 0; i < n; ++i)
             ASSERT_EQ(got[i], expect[i]) << "index " << i;
     }
-}
-
-TEST(Parallel, NonAssociativeFoldMatchesSerialOrder)
-{
-    // Floating-point sum of wildly different magnitudes: only an
-    // index-ordered fold reproduces the serial value exactly.
-    const std::size_t n = 64;
-    auto body = [](std::size_t i) {
-        return i % 2 == 0 ? 1e16 : 1.0;
-    };
-    ThreadPool serial(1);
-    ThreadPool wide(8);
-    const auto fold = [](double acc, const double &v) {
-        return acc + v;
-    };
-    const double expect = support::parallelReduce<double>(
-        serial, n, 0.0, body, fold);
-    const double got = support::parallelReduce<double>(
-        wide, n, 0.0, body, fold);
-    EXPECT_EQ(got, expect);
-}
-
-TEST(Parallel, ErrorShortCircuitReportsLowestIndex)
-{
-    ThreadPool pool(4);
-    for (int repeat = 0; repeat < 5; ++repeat) {
-        const Status status = support::parallelForStatus(
-            pool, 100, [&](std::size_t i) -> Status {
-                if (i == 17 || i == 63)
-                    return support::unavailableError("task ", i,
-                                                     " failed");
-                return {};
-            });
-        ASSERT_FALSE(status.isOk());
-        EXPECT_EQ(status.code(), StatusCode::Unavailable);
-        EXPECT_EQ(status.message(), "task 17 failed");
-    }
-}
-
-TEST(Parallel, ErrorCancelsNotYetStartedWork)
-{
-    // Index 0 fails immediately; most later indices must be skipped.
-    // The schedule is nondeterministic, so only an upper bound is
-    // asserted: without cancellation all 10000 bodies would run.
-    ThreadPool pool(2);
-    std::atomic<std::size_t> ran{0};
-    const Status status = support::parallelForStatus(
-        pool, 10000, [&](std::size_t i) -> Status {
-            ran.fetch_add(1);
-            if (i == 0)
-                return support::internalError("boom");
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-            return {};
-        });
-    EXPECT_FALSE(status.isOk());
-    EXPECT_LT(ran.load(), 10000u);
-}
-
-TEST(Parallel, StatusLoopOkWhenAllSucceed)
-{
-    ThreadPool pool(4);
-    std::atomic<std::size_t> ran{0};
-    const Status status = support::parallelForStatus(
-        pool, 256, [&](std::size_t) -> Status {
-            ran.fetch_add(1);
-            return {};
-        });
-    EXPECT_TRUE(status.isOk());
-    EXPECT_EQ(ran.load(), 256u);
 }
 
 TEST(Parallel, NestedLoopsRunInlineWithoutDeadlock)

@@ -173,23 +173,6 @@ TEST(PerfMonitor, ClearCountsKeepsStructuralState)
     EXPECT_EQ(outcome.dcacheMisses, 0u);
 }
 
-TEST(PerfMonitor, ResetClearsEverything)
-{
-    PerfMonitor pmu;
-    pmu.step(makeLoad(0xa000));
-    pmu.reset();
-    EXPECT_EQ(count(pmu, Event::Loads), 0u);
-    const StepOutcome outcome = pmu.step(makeLoad(0xa000));
-    EXPECT_EQ(outcome.dcacheMisses, 1u);  // cold again
-}
-
-TEST(PerfMonitor, EventNamesDistinct)
-{
-    std::set<std::string_view> names;
-    for (std::size_t e = 0; e < kNumEvents; ++e)
-        EXPECT_TRUE(names.insert(eventName(static_cast<Event>(e))).second);
-}
-
 TEST(PerfMonitor, BimodalConfigSelectable)
 {
     PmuConfig config;

@@ -37,7 +37,7 @@ TEST(Rf, LearnsNonLinearRing)
     Rng rng(1);
     forest.train(data, rng);
     const std::vector<double> scores = forest.scoreBatch(data.x);
-    EXPECT_GT(auc(scores, data.y), 0.93);
+    EXPECT_GT(rocCurve(scores, data.y).auc, 0.93);
 }
 
 TEST(Rf, BeatsSingleTreeOnNoisyData)
@@ -62,8 +62,8 @@ TEST(Rf, BeatsSingleTreeOnNoisyData)
 
     const std::vector<double> forest_scores = forest.scoreBatch(test.x);
     const std::vector<double> tree_scores = tree.scoreBatch(test.x);
-    EXPECT_GE(auc(forest_scores, test.y) + 0.01,
-              auc(tree_scores, test.y));
+    EXPECT_GE(rocCurve(forest_scores, test.y).auc + 0.01,
+              rocCurve(tree_scores, test.y).auc);
 }
 
 TEST(Rf, TreeCountMatchesConfig)
@@ -90,17 +90,6 @@ TEST(Rf, DeterministicGivenSeed)
         EXPECT_DOUBLE_EQ(a.score({x, -x * 0.5}),
                          b.score({x, -x * 0.5}));
     }
-}
-
-TEST(Rf, CloneScoresIdentically)
-{
-    const Dataset data = ringData(300, 64);
-    RandomForest forest;
-    Rng rng(5);
-    forest.train(data, rng);
-    const auto copy = forest.clone();
-    for (double x = -1.0; x <= 1.0; x += 0.25)
-        EXPECT_DOUBLE_EQ(forest.score({x, x}), copy->score({x, x}));
 }
 
 TEST(Rf, ScoresAreAveragesInUnitInterval)

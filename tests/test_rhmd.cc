@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
+#include "core/retrainer.hh"
 #include "core/rhmd.hh"
+#include "support/metrics.hh"
 #include "support/stats.hh"
 
 namespace
@@ -131,18 +133,6 @@ TEST(Rhmd, DecisionsComeFromPoolMembers)
     }
 }
 
-TEST(Rhmd, ReseedReproducesDecisionSequence)
-{
-    const Experiment &exp = sharedExperiment();
-    auto pool = twoDetectorPool(13);
-    const auto &prog = exp.corpus().programs[1];
-    pool->reseed(42);
-    const auto a = pool->decide(prog);
-    pool->reseed(42);
-    const auto b = pool->decide(prog);
-    EXPECT_EQ(a, b);
-}
-
 TEST(Rhmd, PoolDetectsMalware)
 {
     const Experiment &exp = sharedExperiment();
@@ -216,30 +206,60 @@ TEST(Rhmd, ValidatesConstruction)
     }
 }
 
-TEST(Rhmd, RejectsNonDividingPeriods)
+/** A corpus with periods {4000, 10000}: 10000 % 4000 != 0. */
+const Experiment &
+nonDividingExperiment()
 {
-    // 5000 and 10000 are fine; fabricate 5000+10000 pool where epoch
-    // check passes, then check a bad combination via a tiny corpus
-    // with period 3000... simpler: directly build detectors at 5000
-    // and 10000 (ok), then at 5000-only pool (ok). A failing case
-    // needs periods {4000, 10000}: 10000 % 4000 != 0.
-    ExperimentConfig config;
-    config.benignCount = 6;
-    config.malwareCount = 6;
-    config.periods = {4000, 10000};
-    config.traceInsts = 40000;
-    config.seed = 17;
-    const Experiment small = Experiment::build(config);
+    static const Experiment exp = [] {
+        ExperimentConfig config;
+        config.benignCount = 6;
+        config.malwareCount = 6;
+        config.periods = {4000, 10000};
+        config.traceInsts = 40000;
+        config.seed = 17;
+        return Experiment::build(config);
+    }();
+    return exp;
+}
 
+std::vector<features::FeatureSpec>
+nonDividingSpecs()
+{
     features::FeatureSpec a;
     a.kind = features::FeatureKind::Instructions;
     a.period = 4000;
     features::FeatureSpec b;
     b.kind = features::FeatureKind::Memory;
     b.period = 10000;
-    EXPECT_EXIT(buildRhmd("LR", {a, b}, small.corpus(),
+    return {a, b};
+}
+
+TEST(Rhmd, RejectsNonDividingPeriods)
+{
+    // The check runs before training, so the forked child exits
+    // without starting a worker thread.
+    const Experiment &small = nonDividingExperiment();
+    EXPECT_EXIT(buildRhmd("LR", nonDividingSpecs(), small.corpus(),
                           small.split().victimTrain, 16, 3),
                 ::testing::ExitedWithCode(1), "does not divide");
+}
+
+TEST(Rhmd, RetrainPoolRejectsNonDividingPeriodsBeforeTraining)
+{
+    const Experiment &small = nonDividingExperiment();
+    PoolRetrainConfig config;
+    config.algorithm = "LR";
+    config.specs = nonDividingSpecs();
+    const std::uint64_t trained_before =
+        support::metrics().counterValue("ml.train_samples");
+    const auto pool =
+        retrainPool(small.corpus(), small.split().victimTrain, {}, config);
+    ASSERT_FALSE(pool.isOk());
+    EXPECT_EQ(pool.status().code(), support::StatusCode::InvalidArgument);
+    EXPECT_NE(pool.status().message().find("does not divide"),
+              std::string::npos);
+    EXPECT_EQ(support::metrics().counterValue("ml.train_samples"),
+              trained_before);
 }
 
 /** One (detector, slot, score) that EpochPlan::score() visits. */

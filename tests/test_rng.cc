@@ -186,25 +186,6 @@ TEST(Rng, GaussianShifted)
     EXPECT_NEAR(sum / n, 10.0, 0.1);
 }
 
-TEST(Rng, GeometricMean)
-{
-    Rng rng(17);
-    const double p = 0.25;
-    double sum = 0.0;
-    constexpr int n = 50000;
-    for (int i = 0; i < n; ++i)
-        sum += static_cast<double>(rng.geometric(p));
-    // Mean of failures-before-success is (1-p)/p = 3.
-    EXPECT_NEAR(sum / n, 3.0, 0.15);
-}
-
-TEST(Rng, GeometricOneIsZero)
-{
-    Rng rng(18);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(rng.geometric(1.0), 0u);
-}
-
 TEST(Rng, WeightedIndexRespectsWeights)
 {
     Rng rng(19);
@@ -265,16 +246,6 @@ TEST(Rng, PermutationEmpty)
 {
     Rng rng(24);
     EXPECT_TRUE(rng.permutation(0).empty());
-}
-
-TEST(Rng, ForkProducesIndependentStream)
-{
-    Rng parent(25);
-    Rng child = parent.fork();
-    int same = 0;
-    for (int i = 0; i < 100; ++i)
-        same += parent.next() == child.next() ? 1 : 0;
-    EXPECT_LT(same, 3);
 }
 
 /** Uniformity across many seeds (property sweep). */

@@ -135,7 +135,8 @@ TEST(Serialize, TrainedModelRoundTripPreservesAuc)
 
     const std::vector<double> orig = lr.scoreBatch(data.x);
     const std::vector<double> round = loaded->scoreBatch(data.x);
-    EXPECT_DOUBLE_EQ(auc(orig, data.y), auc(round, data.y));
+    EXPECT_DOUBLE_EQ(rocCurve(orig, data.y).auc,
+                     rocCurve(round, data.y).auc);
 }
 
 TEST(Serialize, DtIsNotSerializable)
@@ -292,63 +293,6 @@ TEST(Serialize, FuzzedStreamsNeverAbort)
     // Most corruptions must be caught (magic, sizes, parse errors);
     // a flip inside a digit can legitimately still parse.
     EXPECT_GT(errors, trials / 2);
-}
-
-TEST(Standardizer, RoundTripsExactly)
-{
-    Standardizer original;
-    original.mean = {1.5, -2.25, 0.0};
-    original.scale = {0.5, 3.0, 1.0};
-    std::stringstream stream;
-    ASSERT_TRUE(trySaveStandardizer(original, stream).isOk());
-    auto loaded = tryLoadStandardizer(stream);
-    ASSERT_TRUE(loaded.isOk());
-    EXPECT_EQ(loaded->mean, original.mean);
-    EXPECT_EQ(loaded->scale, original.scale);
-}
-
-TEST(Standardizer, SaveRejectsMismatchedLengths)
-{
-    Standardizer bad;
-    bad.mean = {0.0, 0.0};
-    bad.scale = {1.0};
-    std::stringstream stream;
-    const support::Status status = trySaveStandardizer(bad, stream);
-    ASSERT_FALSE(status.isOk());
-    EXPECT_EQ(status.code(), support::StatusCode::InvalidArgument);
-}
-
-TEST(Standardizer, LoadRejectsNonFiniteParams)
-{
-    std::stringstream stream("RHMD-STD 1\n2 0 nan\n2 1 1\n");
-    const auto loaded = tryLoadStandardizer(stream);
-    ASSERT_FALSE(loaded.isOk());
-    EXPECT_EQ(loaded.status().code(), support::StatusCode::DataLoss);
-}
-
-TEST(Standardizer, LoadRejectsNonPositiveScale)
-{
-    for (const char *text : {"RHMD-STD 1\n1 0\n1 0\n",
-                             "RHMD-STD 1\n1 0\n1 -2.5\n"}) {
-        std::stringstream stream(text);
-        const auto loaded = tryLoadStandardizer(stream);
-        ASSERT_FALSE(loaded.isOk()) << text;
-        EXPECT_EQ(loaded.status().code(), support::StatusCode::DataLoss)
-            << text;
-    }
-}
-
-TEST(Standardizer, LoadRejectsWrongMagicAndVersion)
-{
-    std::stringstream magic("RHMD-MODEL 2\nLR\n1 1\n0\n");
-    EXPECT_EQ(tryLoadStandardizer(magic).status().code(),
-              support::StatusCode::InvalidArgument);
-    std::stringstream version("RHMD-STD 9\n1 0\n1 1\n");
-    EXPECT_EQ(tryLoadStandardizer(version).status().code(),
-              support::StatusCode::FailedPrecondition);
-    std::stringstream ragged("RHMD-STD 1\n2 0 0\n1 1\n");
-    EXPECT_EQ(tryLoadStandardizer(ragged).status().code(),
-              support::StatusCode::DataLoss);
 }
 
 } // namespace

@@ -121,9 +121,8 @@ TEST(BoundedQueue, CloseDrainsPendingThenSignalsExit)
     ASSERT_TRUE(queue.tryPush(8));
     queue.close();
     EXPECT_TRUE(queue.closed());
-    // No admission after close, on either path.
+    // No admission after close.
     EXPECT_FALSE(queue.tryPush(9));
-    EXPECT_FALSE(queue.push(10));
     // Pending elements still drain; then 0 = consumer exit signal.
     std::vector<int> out;
     EXPECT_EQ(queue.popBatch(out, 8), 2u);
@@ -137,7 +136,7 @@ TEST(BoundedQueue, ConsumerBlocksUntilWorkArrives)
     std::vector<int> out;
     std::thread consumer(
         [&] { EXPECT_EQ(queue.popBatch(out, 4), 1u); });
-    ASSERT_TRUE(queue.push(42));
+    ASSERT_TRUE(queue.tryPush(42));
     consumer.join();
     EXPECT_EQ(out, (std::vector<int>{42}));
 }

@@ -1018,7 +1018,7 @@ TEST(ServeMetrics, BatchPhasesAreObservedOncePerBatch)
         DetectionService warm(threeDetectorPool(), ServeConfig{});
         ASSERT_TRUE(warm.submit(programs[0], 0).get().isOk());
     }
-    const std::string before_json = support::metrics().toJson();
+    const std::string before_json = support::metrics().toJsonArray();
     const std::uint64_t batches_before = batches.value();
 
     ServeConfig sc;
@@ -1035,7 +1035,7 @@ TEST(ServeMetrics, BatchPhasesAreObservedOncePerBatch)
     service.stop(); // every worker has observed its last batch
 
     // No request was shed or malformed, so every pop planned a batch.
-    const std::string after_json = support::metrics().toJson();
+    const std::string after_json = support::metrics().toJsonArray();
     const long planned =
         static_cast<long>(batches.value() - batches_before);
     EXPECT_GT(planned, 0);
@@ -1045,7 +1045,7 @@ TEST(ServeMetrics, BatchPhasesAreObservedOncePerBatch)
                   planned)
             << phase;
         // Timing: the determinism gate's view leaves them out.
-        EXPECT_EQ(support::metrics().toJson(false).find(phase),
+        EXPECT_EQ(support::metrics().toJsonArray(false).find(phase),
                   std::string::npos);
     }
 }

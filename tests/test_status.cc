@@ -39,8 +39,7 @@ TEST(Status, EveryCodeHasAName)
     for (StatusCode code :
          {StatusCode::Ok, StatusCode::InvalidArgument,
           StatusCode::DataLoss, StatusCode::FailedPrecondition,
-          StatusCode::Unavailable, StatusCode::OutOfRange,
-          StatusCode::Internal}) {
+          StatusCode::Unavailable, StatusCode::Internal}) {
         EXPECT_FALSE(statusCodeName(code).empty());
     }
 }
@@ -151,17 +150,15 @@ TEST(Retry, NonTransientErrorNeverSleepsOrCountsRetries)
     policy.maxAttempts = 5;
     int calls = 0;
     RetryStats stats;
-    std::vector<double> waits;
     auto result = retryWithBackoff(
         policy,
         [&]() -> StatusOr<int> {
             ++calls;
             return invalidArgumentError("bad request");
         },
-        &stats, [&](double delay) { waits.push_back(delay); });
+        &stats);
     ASSERT_FALSE(result.isOk());
     EXPECT_EQ(calls, 1);
-    EXPECT_TRUE(waits.empty());
     EXPECT_EQ(stats.retries, 0u);
     EXPECT_DOUBLE_EQ(stats.backoffSpent, 0.0);
 }
@@ -175,13 +172,14 @@ TEST(Retry, BackoffCapBoundsEveryWait)
     policy.initialBackoff = 1.0;
     policy.backoffMultiplier = 4.0;
     policy.maxBackoff = 8.0;
+    const std::vector<double> expected{1.0, 4.0, 8.0, 8.0, 8.0};
+    for (std::size_t retry = 1; retry <= expected.size(); ++retry)
+        EXPECT_DOUBLE_EQ(backoffDelay(policy, retry), expected[retry - 1]);
     RetryStats stats;
-    std::vector<double> waits;
     retryWithBackoff(
         policy, [&]() -> Status { return unavailableError("down"); },
-        &stats, [&](double delay) { waits.push_back(delay); });
-    const std::vector<double> expected{1.0, 4.0, 8.0, 8.0, 8.0};
-    EXPECT_EQ(waits, expected);
+        &stats);
+    EXPECT_EQ(stats.retries, expected.size());
     EXPECT_DOUBLE_EQ(stats.backoffSpent, 1.0 + 4.0 + 8.0 * 3);
 }
 
@@ -205,20 +203,6 @@ TEST(Retry, StatsAccumulateAcrossCalls)
     }
     EXPECT_EQ(stats.retries, 4u);
     EXPECT_DOUBLE_EQ(stats.backoffSpent, 2 * (1.0 + 2.0));
-}
-
-TEST(Retry, SleeperSeesTheBackoffSchedule)
-{
-    RetryPolicy policy;
-    policy.maxAttempts = 4;
-    std::vector<double> waits;
-    retryWithBackoff(
-        policy, [&]() -> Status { return unavailableError("down"); },
-        nullptr, [&](double delay) { waits.push_back(delay); });
-    ASSERT_EQ(waits.size(), 3u);
-    EXPECT_DOUBLE_EQ(waits[0], 1.0);
-    EXPECT_DOUBLE_EQ(waits[1], 2.0);
-    EXPECT_DOUBLE_EQ(waits[2], 4.0);
 }
 
 } // namespace

@@ -28,7 +28,7 @@ Three modes:
       same benches run fresh; every bench that actually replayed
       (manifest has corpus_hash) must be at least
       baseline["corpus_replay_min_speedup"] times faster than its
-      fresh counterpart — the floor that keeps the zero-copy replay
+      fresh counterpart — the floor that keeps the corpus replay
       path from silently regressing into re-extraction.
 
   metrics SERIAL_DIR PARALLEL_DIR

@@ -35,6 +35,7 @@
 #include "core/rhmd.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
+#include "support/parse.hh"
 #include "support/tracing.hh"
 
 namespace
@@ -100,11 +101,14 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--strict") {
             opt.strict = true;
         } else if (arg == "--seed" && need_value(i)) {
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.seed))
+                return false;
         } else if (arg == "--benign" && need_value(i)) {
-            opt.benign = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.benign))
+                return false;
         } else if (arg == "--malware" && need_value(i)) {
-            opt.malware = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.malware))
+                return false;
         } else if (arg == "--algorithms" && need_value(i)) {
             opt.algorithms = argv[++i];
         } else if (arg == "--epsilon" && need_value(i)) {
@@ -112,11 +116,14 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--cap" && need_value(i)) {
             opt.cap = std::strtod(argv[++i], nullptr);
         } else if (arg == "--check" && need_value(i)) {
-            opt.check = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.check))
+                return false;
         } else if (arg == "--max-print" && need_value(i)) {
-            opt.maxPrint = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.maxPrint))
+                return false;
         } else if (arg == "--threads" && need_value(i)) {
-            opt.threads = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.threads))
+                return false;
         } else if (arg == "--metrics" && need_value(i)) {
             opt.metricsDir = argv[++i];
         } else if (arg == "--evade" && need_value(i)) {

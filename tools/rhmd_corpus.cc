@@ -34,6 +34,7 @@
 #include "core/experiment.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
+#include "support/parse.hh"
 #include "support/tracing.hh"
 
 namespace
@@ -86,9 +87,10 @@ cmdGenerate(int argc, char **argv)
             smoke = true;
         else if (arg == "--json")
             json = true;
-        else if (arg == "--threads" && need_value(i))
-            threads = std::strtoull(argv[++i], nullptr, 0);
-        else
+        else if (arg == "--threads" && need_value(i)) {
+            if (!support::parseUnsigned(argv[++i], threads))
+                return 2;
+        } else
             return 2;
     }
     if (preset.empty())
@@ -140,7 +142,8 @@ cmdGenerate(int argc, char **argv)
                 "\"content_hash\": \"%016" PRIx64 "\", "
                 "\"format_version\": %u, \"programs\": %zu, "
                 "\"windows\": %" PRIu64 ", \"bytes\": %" PRIu64 "}\n",
-                name.c_str(), summary.path.c_str(),
+                support::jsonEscape(name).c_str(),
+                support::jsonEscape(summary.path).c_str(),
                 summary.configKey, summary.contentHash,
                 corpus::kCorpusFormatVersion, summary.programs,
                 summary.windows, summary.bytes);
@@ -188,13 +191,12 @@ cmdInfo(int argc, char **argv)
         std::printf("{\"path\": \"%s\", \"format_version\": %u, "
                     "\"config_key\": \"%016" PRIx64 "\", "
                     "\"content_hash\": \"%016" PRIx64 "\", "
-                    "\"bytes\": %" PRIu64 ", \"mapped\": %s, "
+                    "\"bytes\": %" PRIu64 ", "
                     "\"programs\": %zu, \"malware\": %zu, "
                     "\"windows\": %" PRIu64 ", \"periods\": [",
-                    path.c_str(), reader->formatVersion(),
-                    reader->configKey(), reader->contentHash(),
-                    reader->fileBytes(),
-                    reader->mapped() ? "true" : "false",
+                    support::jsonEscape(path).c_str(),
+                    reader->formatVersion(), reader->configKey(),
+                    reader->contentHash(), reader->fileBytes(),
                     reader->programCount(), malware,
                     reader->windowTotal());
         for (std::size_t i = 0; i < reader->periods().size(); ++i)
@@ -205,13 +207,12 @@ cmdInfo(int argc, char **argv)
     }
     std::printf("%s:\n  format version %u, config key %016" PRIx64
                 ", content hash %016" PRIx64 "\n"
-                "  %" PRIu64 " bytes (%s), %zu programs (%zu malware), "
+                "  %" PRIu64 " bytes, %zu programs (%zu malware), "
                 "%" PRIu64 " windows\n",
                 path.c_str(), reader->formatVersion(),
                 reader->configKey(), reader->contentHash(),
-                reader->fileBytes(),
-                reader->mapped() ? "mmap" : "arena",
-                reader->programCount(), malware, reader->windowTotal());
+                reader->fileBytes(), reader->programCount(), malware,
+                reader->windowTotal());
     for (std::uint32_t period : reader->periods()) {
         std::uint64_t windows = 0;
         for (std::size_t p = 0; p < reader->programCount(); ++p)
@@ -260,14 +261,16 @@ cmdCat(int argc, char **argv)
     auto need_value = [&](int i) { return i + 1 < argc; };
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--program" && need_value(i))
-            program = std::strtoull(argv[++i], nullptr, 0);
-        else if (arg == "--period" && need_value(i))
-            period = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        else if (arg == "--limit" && need_value(i))
-            limit = std::strtoull(argv[++i], nullptr, 0);
-        else if (path.empty())
+        if (arg == "--program" && need_value(i)) {
+            if (!support::parseUnsigned(argv[++i], program))
+                return 2;
+        } else if (arg == "--period" && need_value(i)) {
+            if (!support::parseUnsigned(argv[++i], period))
+                return 2;
+        } else if (arg == "--limit" && need_value(i)) {
+            if (!support::parseUnsigned(argv[++i], limit))
+                return 2;
+        } else if (path.empty())
             path = arg;
         else
             return 2;
@@ -298,7 +301,8 @@ cmdCat(int argc, char **argv)
                     "\"period\": %u, \"window\": %zu, "
                     "\"inst_count\": %" PRIu64 ", \"cycles\": %.17g, "
                     "\"injected_frac\": %.17g, \"truncated\": %s}\n",
-                    meta.name.c_str(), meta.malware ? "true" : "false",
+                    support::jsonEscape(meta.name).c_str(),
+                    meta.malware ? "true" : "false",
                     file_period, w, window.instCount, window.cycles,
                     window.injectedFrac,
                     window.truncated ? "true" : "false");

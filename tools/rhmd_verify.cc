@@ -27,6 +27,7 @@
 #include "core/experiment.hh"
 #include "support/metrics.hh"
 #include "support/parallel.hh"
+#include "support/parse.hh"
 #include "support/tracing.hh"
 #include "trace/dcfg.hh"
 #include "trace/execution.hh"
@@ -96,19 +97,26 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--pedantic") {
             opt.pedantic = true;
         } else if (arg == "--seed" && need_value(i)) {
-            opt.seed = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.seed))
+                return false;
         } else if (arg == "--benign" && need_value(i)) {
-            opt.benign = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.benign))
+                return false;
         } else if (arg == "--malware" && need_value(i)) {
-            opt.malware = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.malware))
+                return false;
         } else if (arg == "--count" && need_value(i)) {
-            opt.count = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.count))
+                return false;
         } else if (arg == "--dcfg" && need_value(i)) {
-            opt.dcfgInsts = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.dcfgInsts))
+                return false;
         } else if (arg == "--max-print" && need_value(i)) {
-            opt.maxPrint = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.maxPrint))
+                return false;
         } else if (arg == "--threads" && need_value(i)) {
-            opt.threads = std::strtoull(argv[++i], nullptr, 0);
+            if (!support::parseUnsigned(argv[++i], opt.threads))
+                return false;
         } else if (arg == "--metrics" && need_value(i)) {
             opt.metricsDir = argv[++i];
         } else if (arg == "--evade" && need_value(i)) {
@@ -200,7 +208,6 @@ main(int argc, char **argv)
 
     analysis::CfgOptions cfg_options;
     cfg_options.flagUnreachableBlocks = opt.pedantic;
-    const analysis::Verifier verifier(cfg_options);
     core::EvasionAudit audit;
     std::size_t errors = 0;
     std::size_t warnings = 0;
@@ -230,7 +237,8 @@ main(int argc, char **argv)
                     subject = &modified;
                 }
                 result.name = subject->name;
-                result.report = verifier.run(*subject);
+                result.report =
+                    analysis::verifyProgram(*subject, cfg_options);
                 if (opt.dcfgInsts > 0) {
                     trace::DcfgBuilder dcfg;
                     trace::Executor(*subject, opt.seed ^ subject->seed)
