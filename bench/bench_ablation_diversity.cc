@@ -29,14 +29,7 @@ main(int argc, char **argv)
 
     // Pool grows one detector at a time: features first, then the
     // same features at the second period.
-    const std::vector<features::FeatureSpec> all_specs = {
-        spec(features::FeatureKind::Instructions, 10000),
-        spec(features::FeatureKind::Memory, 10000),
-        spec(features::FeatureKind::Architectural, 10000),
-        spec(features::FeatureKind::Instructions, 5000),
-        spec(features::FeatureKind::Memory, 5000),
-        spec(features::FeatureKind::Architectural, 5000),
-    };
+    const std::vector<features::FeatureSpec> all_specs = poolSpecs(3, 2);
 
     Table table({"pool size", "sens", "FPR", "attacker agreement",
                  "mean disagreement", "detect evasive (k=5)"});

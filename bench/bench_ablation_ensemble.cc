@@ -27,11 +27,7 @@ main(int argc, char **argv)
     const auto test_mal = exp.malwareOf(exp.split().attackerTest);
     const auto test_ben = exp.benignOf(exp.split().attackerTest);
 
-    const std::vector<features::FeatureSpec> specs = {
-        spec(features::FeatureKind::Instructions, 10000),
-        spec(features::FeatureKind::Memory, 10000),
-        spec(features::FeatureKind::Architectural, 10000),
-    };
+    const std::vector<features::FeatureSpec> specs = poolSpecs(3, 1);
     auto ensemble = core::buildEnsemble("LR", specs, exp.corpus(),
                                         exp.split().victimTrain, 16,
                                         131);
@@ -56,9 +52,7 @@ main(int argc, char **argv)
         // hypothesis, which can represent the ensemble's vote.
         core::ProxyConfig pc;
         pc.algorithm = "NN";
-        pc.specs = {spec(features::FeatureKind::Instructions, 10000),
-                    spec(features::FeatureKind::Memory, 10000),
-                    spec(features::FeatureKind::Architectural, 10000)};
+        pc.specs = specs;
         const auto proxy = core::buildProxy(
             *row.detector, exp.corpus(), exp.split().attackerTrain,
             pc);

@@ -27,11 +27,7 @@ main(int argc, char **argv)
     const auto test_mal = exp.malwareOf(exp.split().attackerTest);
     const auto test_ben = exp.benignOf(exp.split().attackerTest);
 
-    const std::vector<features::FeatureSpec> specs = {
-        spec(features::FeatureKind::Instructions, 10000),
-        spec(features::FeatureKind::Memory, 10000),
-        spec(features::FeatureKind::Architectural, 10000),
-    };
+    const std::vector<features::FeatureSpec> specs = poolSpecs(3, 1);
 
     // Train the base detectors once; re-pool with different policies.
     struct Policy

@@ -339,6 +339,26 @@ spec(features::FeatureKind kind, std::uint32_t period)
     return s;
 }
 
+/**
+ * The base-detector specs of a pool over the first @p n_features of
+ * {instructions, memory, architectural} and the first @p n_periods
+ * of {10k, 5k, 20k}: every feature at one period, then at the next.
+ */
+inline std::vector<features::FeatureSpec>
+poolSpecs(std::size_t n_features, std::size_t n_periods)
+{
+    const features::FeatureKind kinds[] = {
+        features::FeatureKind::Instructions,
+        features::FeatureKind::Memory,
+        features::FeatureKind::Architectural};
+    const std::uint32_t periods[] = {10000, 5000, 20000};
+    std::vector<features::FeatureSpec> specs;
+    for (std::size_t p = 0; p < n_periods; ++p)
+        for (std::size_t f = 0; f < n_features; ++f)
+            specs.push_back(spec(kinds[f], periods[p]));
+    return specs;
+}
+
 /** Proxy config shorthand (single-spec attacker). */
 inline core::ProxyConfig
 proxyConfig(const std::string &algorithm, features::FeatureKind kind,
@@ -399,6 +419,64 @@ emitQueryBudget()
                                 support::metrics().counterValue(name))});
     }
     emitTable(table);
+}
+
+/**
+ * Reverse-engineer @p pool with LR, DT and SVM attackers on each of
+ * @p attacker_feats at 10k and on their union, and print the
+ * agreement table (Figs. 14 and 15). The randomized pool is queried
+ * once (sequentially, preserving its switching-randomness stream)
+ * and every attacker hypothesis is trained and scored against that
+ * transcript in parallel.
+ */
+inline void
+attackPool(const core::Experiment &exp, core::Rhmd &pool,
+           const std::vector<features::FeatureKind> &attacker_feats)
+{
+    // Row-major (feature hypothesis x algorithm) config list.
+    const char *algorithms[] = {"LR", "DT", "SVM"};
+    std::vector<core::ProxyConfig> configs;
+    for (std::size_t f = 0; f <= attacker_feats.size(); ++f) {
+        const bool combined = f == attacker_feats.size();
+        for (const char *alg : algorithms) {
+            core::ProxyConfig config;
+            config.algorithm = alg;
+            if (combined) {
+                for (features::FeatureKind kind : attacker_feats)
+                    config.specs.push_back(spec(kind, 10000));
+            } else {
+                config.specs = {spec(attacker_feats[f], 10000)};
+            }
+            configs.push_back(std::move(config));
+        }
+    }
+    const std::vector<double> agreement = core::sweepProxyConfigs(
+        pool, exp.corpus(), exp.split().attackerTrain,
+        exp.split().attackerTest, configs);
+
+    Table table({"attacker feature", "LR", "DT", "SVM"});
+    for (std::size_t f = 0; f <= attacker_feats.size(); ++f) {
+        const bool combined = f == attacker_feats.size();
+        std::vector<std::string> row{
+            combined ? "combined"
+                     : features::featureKindName(attacker_feats[f])};
+        for (std::size_t a = 0; a < std::size(algorithms); ++a)
+            row.push_back(Table::percent(
+                agreement[f * std::size(algorithms) + a]));
+        table.addRow(row);
+    }
+    emitTable(table);
+}
+
+/** FNV-1a over a decision sequence (stable across platforms). */
+inline std::uint64_t
+hashDecisions(std::uint64_t h, const std::vector<int> &decisions)
+{
+    for (int d : decisions) {
+        h ^= static_cast<std::uint64_t>(d + 1);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
 }
 
 /**

@@ -56,15 +56,7 @@ main(int argc, char **argv)
     const core::Experiment exp = core::Experiment::build(config);
 
     // A six-detector pool: three feature families at two periods.
-    std::vector<features::FeatureSpec> specs;
-    for (std::uint32_t period : {10000u, 5000u}) {
-        for (auto kind : {features::FeatureKind::Instructions,
-                          features::FeatureKind::Memory,
-                          features::FeatureKind::Architectural}) {
-            specs.push_back(spec(kind, period));
-        }
-    }
-    auto pool = core::buildRhmd("LR", specs, exp.corpus(),
+    auto pool = core::buildRhmd("LR", poolSpecs(3, 2), exp.corpus(),
                                 exp.split().victimTrain, 16, 2017);
 
     std::vector<const features::ProgramFeatures *> test_mal;
@@ -142,7 +134,6 @@ main(int argc, char **argv)
         // deterministically.
         serve::ServeConfig sc;
         sc.workers = 1;
-        sc.chaos.enabled = !scenario.broken.empty();
         sc.chaos.brokenDetectors = scenario.broken;
         serve::DetectionService service(*pool, sc);
 

@@ -11,53 +11,6 @@
 using namespace rhmd;
 using namespace rhmd::bench;
 
-namespace
-{
-
-void
-attackPool(const core::Experiment &exp, core::Rhmd &pool,
-           const std::vector<features::FeatureKind> &attacker_feats)
-{
-    // Row-major (feature hypothesis x algorithm) config list; the
-    // randomized pool is queried once (sequentially, preserving its
-    // switching-randomness stream) and every attacker hypothesis is
-    // trained and scored against that transcript in parallel.
-    const char *algorithms[] = {"LR", "DT", "SVM"};
-    std::vector<core::ProxyConfig> configs;
-    for (std::size_t f = 0; f <= attacker_feats.size(); ++f) {
-        const bool combined = f == attacker_feats.size();
-        for (const char *alg : algorithms) {
-            core::ProxyConfig config;
-            config.algorithm = alg;
-            if (combined) {
-                for (features::FeatureKind kind : attacker_feats)
-                    config.specs.push_back(spec(kind, 10000));
-            } else {
-                config.specs = {spec(attacker_feats[f], 10000)};
-            }
-            configs.push_back(std::move(config));
-        }
-    }
-    const std::vector<double> agreement = core::sweepProxyConfigs(
-        pool, exp.corpus(), exp.split().attackerTrain,
-        exp.split().attackerTest, configs);
-
-    Table table({"attacker feature", "LR", "DT", "SVM"});
-    for (std::size_t f = 0; f <= attacker_feats.size(); ++f) {
-        const bool combined = f == attacker_feats.size();
-        std::vector<std::string> row{
-            combined ? "combined"
-                     : features::featureKindName(attacker_feats[f])};
-        for (std::size_t a = 0; a < std::size(algorithms); ++a)
-            row.push_back(Table::percent(
-                agreement[f * std::size(algorithms) + a]));
-        table.addRow(row);
-    }
-    emitTable(table);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -72,11 +25,8 @@ main(int argc, char **argv)
     {
         std::printf("\n(a) pool: {instructions, memory} @ 10k, LR "
                     "bases, uniform switching\n");
-        auto pool = core::buildRhmd(
-            "LR",
-            {spec(features::FeatureKind::Instructions, 10000),
-             spec(features::FeatureKind::Memory, 10000)},
-            exp.corpus(), exp.split().victimTrain, 16, 41);
+        auto pool = core::buildRhmd("LR", poolSpecs(2, 1), exp.corpus(),
+                                    exp.split().victimTrain, 16, 41);
         attackPool(exp, *pool,
                    {features::FeatureKind::Memory,
                     features::FeatureKind::Instructions});
@@ -85,12 +35,8 @@ main(int argc, char **argv)
     {
         std::printf("\n(b) pool: {instructions, memory, architectural} "
                     "@ 10k\n");
-        auto pool = core::buildRhmd(
-            "LR",
-            {spec(features::FeatureKind::Instructions, 10000),
-             spec(features::FeatureKind::Memory, 10000),
-             spec(features::FeatureKind::Architectural, 10000)},
-            exp.corpus(), exp.split().victimTrain, 16, 42);
+        auto pool = core::buildRhmd("LR", poolSpecs(3, 1), exp.corpus(),
+                                    exp.split().victimTrain, 16, 42);
         attackPool(exp, *pool,
                    {features::FeatureKind::Memory,
                     features::FeatureKind::Instructions,

@@ -11,63 +11,6 @@
 using namespace rhmd;
 using namespace rhmd::bench;
 
-namespace
-{
-
-void
-attackPool(const core::Experiment &exp, core::Rhmd &pool,
-           const std::vector<features::FeatureKind> &attacker_feats)
-{
-    // Row-major (feature hypothesis x algorithm) config list; the
-    // randomized pool is queried once (sequentially, preserving its
-    // switching-randomness stream) and every attacker hypothesis is
-    // trained and scored against that transcript in parallel.
-    const char *algorithms[] = {"LR", "DT", "SVM"};
-    std::vector<core::ProxyConfig> configs;
-    for (std::size_t f = 0; f <= attacker_feats.size(); ++f) {
-        const bool combined = f == attacker_feats.size();
-        for (const char *alg : algorithms) {
-            core::ProxyConfig config;
-            config.algorithm = alg;
-            if (combined) {
-                for (features::FeatureKind kind : attacker_feats)
-                    config.specs.push_back(spec(kind, 10000));
-            } else {
-                config.specs = {spec(attacker_feats[f], 10000)};
-            }
-            configs.push_back(std::move(config));
-        }
-    }
-    const std::vector<double> agreement = core::sweepProxyConfigs(
-        pool, exp.corpus(), exp.split().attackerTrain,
-        exp.split().attackerTest, configs);
-
-    Table table({"attacker feature", "LR", "DT", "SVM"});
-    for (std::size_t f = 0; f <= attacker_feats.size(); ++f) {
-        const bool combined = f == attacker_feats.size();
-        std::vector<std::string> row{
-            combined ? "combined"
-                     : features::featureKindName(attacker_feats[f])};
-        for (std::size_t a = 0; a < std::size(algorithms); ++a)
-            row.push_back(Table::percent(
-                agreement[f * std::size(algorithms) + a]));
-        table.addRow(row);
-    }
-    emitTable(table);
-}
-
-std::vector<features::FeatureSpec>
-crossSpecs(const std::vector<features::FeatureKind> &kinds)
-{
-    std::vector<features::FeatureSpec> specs;
-    for (std::uint32_t period : {10000u, 5000u})
-        for (features::FeatureKind kind : kinds)
-            specs.push_back(spec(kind, period));
-    return specs;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -82,11 +25,8 @@ main(int argc, char **argv)
     {
         std::printf("\n(a) pool of four: {instructions, memory} x "
                     "{5k, 10k}\n");
-        auto pool = core::buildRhmd(
-            "LR",
-            crossSpecs({features::FeatureKind::Instructions,
-                        features::FeatureKind::Memory}),
-            exp.corpus(), exp.split().victimTrain, 16, 51);
+        auto pool = core::buildRhmd("LR", poolSpecs(2, 2), exp.corpus(),
+                                    exp.split().victimTrain, 16, 51);
         attackPool(exp, *pool,
                    {features::FeatureKind::Memory,
                     features::FeatureKind::Instructions});
@@ -94,12 +34,8 @@ main(int argc, char **argv)
     {
         std::printf("\n(b) pool of six: {instructions, memory, "
                     "architectural} x {5k, 10k}\n");
-        auto pool = core::buildRhmd(
-            "LR",
-            crossSpecs({features::FeatureKind::Instructions,
-                        features::FeatureKind::Memory,
-                        features::FeatureKind::Architectural}),
-            exp.corpus(), exp.split().victimTrain, 16, 52);
+        auto pool = core::buildRhmd("LR", poolSpecs(3, 2), exp.corpus(),
+                                    exp.split().victimTrain, 16, 52);
         attackPool(exp, *pool,
                    {features::FeatureKind::Memory,
                     features::FeatureKind::Instructions,

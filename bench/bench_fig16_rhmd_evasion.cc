@@ -11,28 +11,6 @@
 using namespace rhmd;
 using namespace rhmd::bench;
 
-namespace
-{
-
-std::vector<features::FeatureSpec>
-poolSpecs(std::size_t n_features, bool two_periods)
-{
-    const features::FeatureKind kinds[] = {
-        features::FeatureKind::Instructions,
-        features::FeatureKind::Memory,
-        features::FeatureKind::Architectural};
-    std::vector<features::FeatureSpec> specs;
-    for (std::size_t f = 0; f < n_features; ++f)
-        specs.push_back(spec(kinds[f], 10000));
-    if (two_periods) {
-        for (std::size_t f = 0; f < n_features; ++f)
-            specs.push_back(spec(kinds[f], 5000));
-    }
-    return specs;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -49,14 +27,14 @@ main(int argc, char **argv)
     {
         const char *label;
         std::size_t features;
-        bool periods;
+        std::size_t periods;
         std::uint64_t seed;
     };
     const PoolDef pools[] = {
-        {"two features", 2, false, 61},
-        {"three features", 3, false, 62},
-        {"two features with periods", 2, true, 63},
-        {"three features with periods", 3, true, 64},
+        {"two features", 2, 1, 61},
+        {"three features", 3, 1, 62},
+        {"two features with periods", 2, 2, 63},
+        {"three features with periods", 3, 2, 64},
     };
 
     Table table({"injected", "2 feats", "3 feats", "2 feats+periods",

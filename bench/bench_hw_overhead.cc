@@ -14,26 +14,6 @@
 using namespace rhmd;
 using namespace rhmd::bench;
 
-namespace
-{
-
-std::vector<features::FeatureSpec>
-poolSpecs(std::size_t n_features, std::size_t n_periods)
-{
-    const features::FeatureKind kinds[] = {
-        features::FeatureKind::Instructions,
-        features::FeatureKind::Memory,
-        features::FeatureKind::Architectural};
-    const std::uint32_t periods[] = {10000, 5000, 20000};
-    std::vector<features::FeatureSpec> specs;
-    for (std::size_t p = 0; p < n_periods; ++p)
-        for (std::size_t f = 0; f < n_features; ++f)
-            specs.push_back(spec(kinds[f], periods[p]));
-    return specs;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {

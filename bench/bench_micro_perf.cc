@@ -56,17 +56,6 @@ hashScores(std::uint64_t h, const std::vector<double> &scores)
     return h;
 }
 
-/** FNV-1a over a decision stream. */
-std::uint64_t
-hashDecisions(std::uint64_t h, const std::vector<int> &decisions)
-{
-    for (int d : decisions) {
-        h ^= static_cast<std::uint64_t>(d + 1);
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 /** FNV-1a over every field of every window; doubles by bit pattern. */
 std::uint64_t
 hashWindows(std::uint64_t h, const features::ProgramFeatures &program)

@@ -25,15 +25,7 @@ main(int argc, char **argv)
     const core::Experiment exp =
         core::Experiment::build(standardConfig());
 
-    std::vector<features::FeatureSpec> specs;
-    for (std::uint32_t period : {10000u, 5000u}) {
-        for (auto kind : {features::FeatureKind::Instructions,
-                          features::FeatureKind::Memory,
-                          features::FeatureKind::Architectural}) {
-            specs.push_back(spec(kind, period));
-        }
-    }
-    auto pool = core::buildRhmd("LR", specs, exp.corpus(),
+    auto pool = core::buildRhmd("LR", poolSpecs(3, 2), exp.corpus(),
                                 exp.split().victimTrain, 16, 71);
     const core::PacReport report = core::computePac(
         *pool, exp.corpus(), exp.split().attackerTest);

@@ -46,17 +46,6 @@ namespace
 using namespace rhmd;
 using namespace rhmd::bench;
 
-/** FNV-1a over a decision sequence (stable across platforms). */
-std::uint64_t
-hashDecisions(std::uint64_t h, const std::vector<int> &decisions)
-{
-    for (int d : decisions) {
-        h ^= static_cast<std::uint64_t>(d + 1);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 /**
  * The service's failover-stream derivation and attempt budget,
  * mirrored for serial replay (the DESIGN.md section 12 replay
@@ -205,7 +194,6 @@ main(int argc, char **argv)
     // never policy weight, so the effective policy — and with it the
     // determinism domain — stays pinned to (key, pool version).
     sc.health.failureThreshold = 1u << 20;
-    sc.chaos.enabled = true;
     sc.chaos.transientScoreFaultProb = 0.15;
     sc.chaos.workerStallProb = 0.05;
     sc.chaos.workerStallMicros = 100;
@@ -309,8 +297,8 @@ main(int argc, char **argv)
         serve::ServeConfig qc;
         qc.workers = 1;
         qc.admission.enabled = true;
-        qc.admission.defaultQuota.ratePerSecond = 0.0;
-        qc.admission.defaultQuota.burst = 2.0;
+        qc.admission.quota.ratePerSecond = 0.0;
+        qc.admission.quota.burst = 2.0;
         serve::DetectionService service(*pool, qc);
         std::vector<std::future<support::StatusOr<serve::ServeReport>>>
             futures;
@@ -357,7 +345,6 @@ main(int argc, char **argv)
         dc.failOpen = fail_open;
         dc.health.failureThreshold = 1;
         dc.health.quarantineEpochs = 1u << 20;
-        dc.chaos.enabled = true;
         dc.chaos.brokenDetectors = {0, 1, 2};
         serve::DetectionService service(*pool, dc);
         fatal_if(service.submit(*reqs[0], 0).get().isOk(),

@@ -165,9 +165,7 @@ main(int argc, char **argv)
     pc.retrain.seed = 0x5eed2e7a;
     pc.recorder.path = "bench_serve_retrain_loop.spool.rhmdc";
     pc.recorder.periods = exp.corpus().periods;
-    pc.recorder.maxPrograms = 256;
     pc.shadowMinRequests = 24;
-    pc.shadowMinAgreement = 0.5;
     pipeline::RetrainPipeline loop(service, exp.corpus(),
                                    split.victimTrain, pc);
 

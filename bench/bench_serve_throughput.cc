@@ -29,17 +29,6 @@ namespace
 using namespace rhmd;
 using namespace rhmd::bench;
 
-/** FNV-1a over a decision sequence (stable across platforms). */
-std::uint64_t
-hashDecisions(std::uint64_t h, const std::vector<int> &decisions)
-{
-    for (int d : decisions) {
-        h ^= static_cast<std::uint64_t>(d + 1);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 struct CellResult
 {
     std::size_t workers = 0;

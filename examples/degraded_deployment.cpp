@@ -54,7 +54,6 @@ main()
     runtime::FaultInjector sensor(faults);
     serve::ServeConfig sc;
     sc.workers = 1;
-    sc.chaos.enabled = true;
     sc.chaos.brokenDetectors = {0};
     serve::DetectionService service(*pool, sc);
 

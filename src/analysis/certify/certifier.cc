@@ -35,6 +35,16 @@ constexpr double kSigmoidBracket = 800.0;
 constexpr std::size_t kPreimageIters = 200;
 
 /**
+ * Upper bracket of the MLP/RF radius search in standardized units.
+ * Radii certified out to it are reported as kUnboundedRadius (8
+ * z-score units is already far outside any real window).
+ */
+constexpr double kMaxRadius = 64.0;
+
+/** Bisection iterations of the radius search (fixed: determinism). */
+constexpr std::size_t kRadiusIters = 50;
+
+/**
  * Stability radius of a thresholded decision over one CART tree's
  * leaf scores: the minimal ℓ∞ distance from @p x to any leaf region
  * whose decision differs from the decision at @p x. @p sel maps tree
@@ -140,15 +150,15 @@ treeLeafBounds(const std::vector<ml::DecisionTree::Node> &nodes,
  */
 template <typename Predicate>
 double
-bisectRadius(const Predicate &stable, const CertifyConfig &config)
+bisectRadius(const Predicate &stable)
 {
     if (!stable(0.0))
         return 0.0;
-    if (stable(config.maxRadius))
+    if (stable(kMaxRadius))
         return kUnboundedRadius;
     double lo = 0.0;
-    double hi = config.maxRadius;
-    for (std::size_t i = 0; i < config.bisectIters; ++i) {
+    double hi = kMaxRadius;
+    for (std::size_t i = 0; i < kRadiusIters; ++i) {
         const double mid = 0.5 * (lo + hi);
         if (stable(mid))
             lo = mid;
@@ -160,8 +170,7 @@ bisectRadius(const Predicate &stable, const CertifyConfig &config)
 
 double
 mlpStabilityRadius(const ml::Mlp &mlp, double threshold,
-                   const std::vector<double> &x,
-                   const CertifyConfig &config)
+                   const std::vector<double> &x)
 {
     const Interval zstar = sigmoidPreimage(threshold);
     if (std::isinf(zstar.lo) || std::isinf(zstar.hi))
@@ -189,13 +198,12 @@ mlpStabilityRadius(const ml::Mlp &mlp, double threshold,
         }
         return out.lo >= zstar.hi || out.hi < zstar.lo;
     };
-    return bisectRadius(stable, config);
+    return bisectRadius(stable);
 }
 
 double
 forestStabilityRadius(const ml::RandomForest &forest, double threshold,
-                      const std::vector<double> &x,
-                      const CertifyConfig &config)
+                      const std::vector<double> &x)
 {
     const auto &trees = forest.trees();
     const auto &sels = forest.featureSelections();
@@ -215,7 +223,7 @@ forestStabilityRadius(const ml::RandomForest &forest, double threshold,
         hi *= inv;
         return lo >= threshold || hi < threshold;
     };
-    return bisectRadius(stable, config);
+    return bisectRadius(stable);
 }
 
 } // namespace
@@ -273,7 +281,7 @@ linearStabilityRadius(const std::vector<double> &w, double bias,
 
 double
 stabilityRadius(const ml::Classifier &clf, double threshold,
-                const std::vector<double> &x, const CertifyConfig &config)
+                const std::vector<double> &x)
 {
     if (const auto *lr =
             dynamic_cast<const ml::LogisticRegression *>(&clf)) {
@@ -292,7 +300,7 @@ stabilityRadius(const ml::Classifier &clf, double threshold,
                                      x);
     }
     if (const auto *mlp = dynamic_cast<const ml::Mlp *>(&clf))
-        return mlpStabilityRadius(*mlp, threshold, x, config);
+        return mlpStabilityRadius(*mlp, threshold, x);
     if (const auto *tree =
             dynamic_cast<const ml::DecisionTree *>(&clf)) {
         const double dist = treeOppositeLeafDistance(
@@ -302,7 +310,7 @@ stabilityRadius(const ml::Classifier &clf, double threshold,
     }
     if (const auto *forest =
             dynamic_cast<const ml::RandomForest *>(&clf))
-        return forestStabilityRadius(*forest, threshold, x, config);
+        return forestStabilityRadius(*forest, threshold, x);
     rhmd_fatal("no certifier for classifier family '", clf.name(), "'");
 }
 

@@ -67,21 +67,6 @@ inline constexpr double kUnboundedRadius =
  */
 inline constexpr double kFloatSafety = 1.0 - 1e-9;
 
-/** Search parameters for the bisected families (MLP, RF). */
-struct CertifyConfig
-{
-    /**
-     * Upper bracket of the radius search in standardized units.
-     * Radii certified out to this bracket are reported as
-     * kUnboundedRadius (8 z-score units is already far outside any
-     * real window).
-     */
-    double maxRadius = 64.0;
-
-    /** Fixed bisection iteration count (determinism contract). */
-    std::size_t bisectIters = 50;
-};
-
 /**
  * Preimage of `sigmoid(z) >= threshold` as a tight margin bracket:
  * an interval [lo, hi] with sigmoid(lo) < threshold <= sigmoid(hi),
@@ -106,11 +91,13 @@ double linearStabilityRadius(const std::vector<double> &w, double bias,
  * Certified stability radius of `clf.score(x) >= threshold` at @p x.
  * Dispatches on the concrete classifier family (LR, SVM, NN, DT,
  * RF); fatal on an unknown family — the certifier must never
- * silently claim a radius for arithmetic it cannot analyze.
+ * silently claim a radius for arithmetic it cannot analyze. The MLP
+ * and RF radii are bisected over [0, 64] standardized units in a
+ * fixed 50 steps; a radius certified out to 64 is reported as
+ * kUnboundedRadius.
  */
 double stabilityRadius(const ml::Classifier &clf, double threshold,
-                       const std::vector<double> &x,
-                       const CertifyConfig &config = {});
+                       const std::vector<double> &x);
 
 /**
  * Static audit of one detector's model parameters. Emits error

@@ -100,8 +100,7 @@ certifyPool(const core::Rhmd &pool,
                          core::epochWindows(prog, epoch, det)) {
                         partial.radii[i].push_back(stabilityRadius(
                             det.classifier(), det.threshold(),
-                            det.featureVector(*window),
-                            options.search));
+                            det.featureVector(*window)));
                     }
                 }
                 return partial;

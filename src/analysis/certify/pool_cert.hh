@@ -60,9 +60,6 @@ struct CertifyOptions
      * radii still feed minRadius.
      */
     double radiusCap = 8.0;
-
-    /** Bisection parameters for the MLP/RF searches. */
-    CertifyConfig search{};
 };
 
 /** Certified-radius statistics for one base detector. */

@@ -5,6 +5,7 @@
 
 #include "analysis/cfg.hh"
 
+#include <bit>
 #include <string>
 
 #include "analysis/dataflow.hh"
@@ -147,8 +148,15 @@ checkFunctionRanges(const trace::Program &prog, std::size_t f,
                 report.error(kPass, "register-range", f, b, i,
                              "register operand id out of range");
             }
-            if (trace::accessesMemory(inst.op) &&
-                inst.mem.pattern != trace::AddrPattern::StackSlot &&
+            if (!trace::accessesMemory(inst.op))
+                continue;
+            if (!std::has_single_bit(inst.mem.accessSize)) {
+                report.error(kPass, "access-size", f, b, i,
+                             "memory access size " +
+                                 std::to_string(inst.mem.accessSize) +
+                                 " is not a power of two");
+            }
+            if (inst.mem.pattern != trace::AddrPattern::StackSlot &&
                 inst.mem.region >= prog.regions.size()) {
                 report.error(kPass, "mem-region-range", f, b, i,
                              "memory region " +

@@ -4,7 +4,8 @@
  *
  * Two entry points: checkProgramCfg() verifies a static Program
  * (well-formed blocks, resolvable branch targets, register and region
- * operands in range, entry/exit invariants, reachability) and
+ * operands in range, power-of-two access sizes, entry/exit
+ * invariants, reachability) and
  * checkDcfg() cross-checks a dynamically recovered CFG (every
  * observed edge resolves to a recovered node, block bodies end at
  * their first control transfer, traversal counts are consistent).
@@ -12,7 +13,9 @@
  * Unlike trace::Program::validate(), which panics and exists to catch
  * *generator* bugs, these checks emit structured findings and are
  * safe to run on untrusted input — evasion rewrites, deserialized
- * corpora, programs arriving at a deployment.
+ * corpora, programs arriving at a deployment. checkProgramCfg()
+ * reports an error for every rule validate() panics on, so a program
+ * it passes can be executed.
  */
 
 #ifndef RHMD_ANALYSIS_CFG_HH

@@ -145,23 +145,20 @@ successorBlocks(const trace::Terminator &term)
 namespace
 {
 
-/** Uses of one body instruction under the observability option. */
+/** Observable uses of one body instruction: none when injected. */
 RegSet
-observedUses(const trace::StaticInst &inst, const LivenessOptions &options)
+observedUses(const trace::StaticInst &inst)
 {
-    if (options.observableUsesOnly && inst.injected)
-        return 0;
-    return instUses(inst);
+    return inst.injected ? 0 : instUses(inst);
 }
 
 } // namespace
 
 Liveness
-Liveness::compute(const trace::Function &fn, const LivenessOptions &options)
+Liveness::compute(const trace::Function &fn)
 {
     Liveness out;
     out.fn_ = &fn;
-    out.options_ = options;
     const std::size_t n = fn.blocks.size();
     out.liveIn_.assign(n, 0);
     out.liveOut_.assign(n, 0);
@@ -177,7 +174,7 @@ Liveness::compute(const trace::Function &fn, const LivenessOptions &options)
         for (std::size_t i = block.body.size(); i-- > 0;) {
             const trace::StaticInst &inst = block.body[i];
             const RegSet id = instDefs(inst);
-            u = observedUses(inst, options) | (u & ~id);
+            u = observedUses(inst) | (u & ~id);
             d |= id;
         }
         use[b] = u;
@@ -240,7 +237,7 @@ Liveness::livePoints(std::size_t block) const
     points[blk.body.size()] = liveBeforeTerm(block);
     for (std::size_t i = blk.body.size(); i-- > 0;) {
         const trace::StaticInst &inst = blk.body[i];
-        points[i] = observedUses(inst, options_) |
+        points[i] = observedUses(inst) |
                     (points[i + 1] & ~instDefs(inst));
     }
     return points;

@@ -61,28 +61,21 @@ RegSet termDefs(const trace::Terminator &term);
 /** Intra-function successor block indexes of a terminator. */
 std::vector<std::uint32_t> successorBlocks(const trace::Terminator &term);
 
-/** Controls whose reads generate liveness. */
-struct LivenessOptions
-{
-    /**
-     * Count only *observable* uses: reads made by injected
-     * instructions are ignored (terminator reads always count). An
-     * injected instruction's consumers are themselves candidates for
-     * removal, so under this option "live" means "may influence the
-     * original program's behaviour" — exactly the property the
-     * semantic-preservation rule needs.
-     */
-    bool observableUsesOnly = false;
-};
-
-/** Per-block liveness solution for one function. */
+/**
+ * Per-block liveness solution for one function, over *observable*
+ * uses only: reads made by injected instructions are ignored
+ * (terminator reads always count). An injected instruction's
+ * consumers are themselves candidates for removal, so "live" means
+ * "may influence the original program's behaviour" — exactly the
+ * property the semantic-preservation rule needs. On code with no
+ * injected instruction this is plain liveness.
+ */
 class Liveness
 {
   public:
     /** Run the backward fixpoint over @p fn (kept by reference;
      *  the function must outlive the solution). */
-    static Liveness compute(const trace::Function &fn,
-                            const LivenessOptions &options = {});
+    static Liveness compute(const trace::Function &fn);
 
     RegSet liveIn(std::size_t block) const;
     RegSet liveOut(std::size_t block) const;
@@ -104,7 +97,6 @@ class Liveness
 
   private:
     const trace::Function *fn_ = nullptr;
-    LivenessOptions options_;
     std::vector<RegSet> liveIn_;
     std::vector<RegSet> liveOut_;
     std::size_t iterations_ = 0;

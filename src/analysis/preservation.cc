@@ -103,7 +103,6 @@ checkPreservation(const trace::Program &prog, Report &report)
 {
     const std::size_t errors_before = report.errorCount();
     const std::vector<bool> regions_read = regionsReadByOriginal(prog);
-    const LivenessOptions observable{/*observableUsesOnly=*/true};
 
     for (std::size_t f = 0; f < prog.functions.size(); ++f) {
         const trace::Function &fn = prog.functions[f];
@@ -115,7 +114,7 @@ checkPreservation(const trace::Program &prog, Report &report)
         if (!fn_has_injection)
             continue;
 
-        const Liveness live = Liveness::compute(fn, observable);
+        const Liveness live = Liveness::compute(fn);
         for (std::size_t b = 0; b < fn.blocks.size(); ++b) {
             const trace::BasicBlock &block = fn.blocks[b];
             std::vector<RegSet> points;  // computed lazily per block
@@ -142,10 +141,9 @@ checkPreservation(const trace::Program &prog, Report &report)
 InjectionGate::InjectionGate(const trace::Program &original)
     : prog_(&original), regionsRead_(regionsReadByOriginal(original))
 {
-    const LivenessOptions observable{/*observableUsesOnly=*/true};
     liveness_.reserve(original.functions.size());
     for (const trace::Function &fn : original.functions)
-        liveness_.push_back(Liveness::compute(fn, observable));
+        liveness_.push_back(Liveness::compute(fn));
 }
 
 std::string

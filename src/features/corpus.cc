@@ -60,7 +60,7 @@ FeatureCorpus::malwareCount() const
 ProgramFeatures
 extractProgram(const trace::Program &program, const ExtractConfig &config)
 {
-    FeatureSession session(config.periods, config.pmu);
+    FeatureSession session(config.periods);
     trace::Executor executor(program, program.seed ^ config.execSalt);
     executor.run(config.traceInsts, session);
     if (config.emitPartialWindows)

@@ -15,7 +15,6 @@
 
 #include "features/window.hh"
 #include "trace/program.hh"
-#include "uarch/perf_counters.hh"
 
 namespace rhmd::features
 {
@@ -38,7 +37,6 @@ struct ExtractConfig
 {
     std::vector<std::uint32_t> periods{10000};
     std::uint64_t traceInsts = 120000;  ///< committed per program
-    uarch::PmuConfig pmu{};
     /** Mixed into each program's seed for the execution-level RNG. */
     std::uint64_t execSalt = 0x5eedULL;
     /**

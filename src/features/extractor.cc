@@ -12,9 +12,7 @@
 namespace rhmd::features
 {
 
-FeatureSession::FeatureSession(std::vector<std::uint32_t> periods,
-                               const uarch::PmuConfig &pmu)
-    : monitor_(pmu)
+FeatureSession::FeatureSession(std::vector<std::uint32_t> periods)
 {
     fatal_if(periods.empty(), "FeatureSession needs at least one period");
     std::sort(periods.begin(), periods.end());

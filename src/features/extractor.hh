@@ -34,10 +34,8 @@ class FeatureSession
     /**
      * @param periods window sizes in instructions (e.g. {5000, 10000});
      *                must be unique and positive.
-     * @param pmu     monitoring hardware configuration.
      */
-    explicit FeatureSession(std::vector<std::uint32_t> periods,
-                            const uarch::PmuConfig &pmu = {});
+    explicit FeatureSession(std::vector<std::uint32_t> periods);
 
     /**
      * Account one committed instruction (the trace-sink entry point

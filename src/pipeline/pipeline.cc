@@ -103,10 +103,10 @@ RetrainPipeline::step()
     report.poolVersion = service_.poolVersion();
 
     if (phase_ == Phase::Monitoring) {
-        bool drifted = drift_.drifted();
-        if (!drifted && config_.driftOnQuarantine)
-            drifted = service_.healthSnapshot().quarantinedCount() > 0;
-        if (!drifted)
+        // A quarantined detector in the serving snapshot is a drift
+        // signal too.
+        if (!drift_.drifted() &&
+            service_.healthSnapshot().quarantinedCount() == 0)
             return report;
         report.driftFired = true;
         counters.driftFired.add(1);
@@ -160,12 +160,12 @@ RetrainPipeline::step()
         static_cast<double>(shadow.requests);
     service_.clearShadow();
 
-    if (report.shadowAgreement < config_.shadowMinAgreement) {
+    if (report.shadowAgreement < kShadowMinAgreement) {
         counters.rejectedShadow.add(1);
         report.gate = support::failedPreconditionError(
             "candidate discarded: shadow agreement ",
             report.shadowAgreement, " below the ",
-            config_.shadowMinAgreement, " floor over ",
+            kShadowMinAgreement, " floor over ",
             shadow.requests, " requests");
         drift_.reset();
         phase_ = Phase::Monitoring;

@@ -59,6 +59,15 @@
 namespace rhmd::pipeline
 {
 
+/**
+ * Minimum live-vs-candidate program-decision agreement on the shadow
+ * lane. A retrained candidate is *supposed* to disagree on the
+ * evasive slice (that is the point), so this is a sanity floor
+ * against degenerate candidates (e.g. flag-everything), not a
+ * similarity requirement.
+ */
+constexpr double kShadowMinAgreement = 0.5;
+
 /** Closed-loop knobs. */
 struct PipelineConfig
 {
@@ -72,19 +81,6 @@ struct PipelineConfig
 
     /** Live requests the shadow lane must score before a verdict. */
     std::size_t shadowMinRequests = 32;
-
-    /**
-     * Minimum live-vs-candidate program-decision agreement. A
-     * retrained candidate is *supposed* to disagree on the evasive
-     * slice (that is the point), so this is a sanity floor against
-     * degenerate candidates (e.g. flag-everything), not a similarity
-     * requirement.
-     */
-    double shadowMinAgreement = 0.5;
-
-    /** Also treat a quarantined detector in the serving snapshot as
-     *  a drift signal. */
-    bool driftOnQuarantine = true;
 };
 
 /** What one step() of the loop did (fields in stage order). */

@@ -68,8 +68,6 @@ FlightRecorder::FlightRecorder(RecorderConfig config)
     fatal_if(config_.path.empty(), "FlightRecorder needs a spool path");
     fatal_if(config_.periods.empty(),
              "FlightRecorder needs at least one capture period");
-    fatal_if(config_.maxPrograms == 0,
-             "FlightRecorder maxPrograms must be > 0");
 }
 
 support::Status
@@ -87,11 +85,11 @@ support::Status
 FlightRecorder::flag(const features::ProgramFeatures &prog)
 {
     RecorderCounters &counters = recorderCounters();
-    if (programs_ >= config_.maxPrograms) {
+    if (programs_ >= kRecorderMaxPrograms) {
         ++dropped_;
         counters.dropped.add(1);
         return support::unavailableError(
-            "flight recorder full (", config_.maxPrograms,
+            "flight recorder full (", kRecorderMaxPrograms,
             " programs this cycle); suspect '", prog.name,
             "' dropped");
     }

@@ -35,6 +35,13 @@
 namespace rhmd::pipeline
 {
 
+/**
+ * Capture ceiling per recorder cycle: programs flagged beyond it are
+ * dropped (counted, not buffered) so a flood of suspects cannot grow
+ * the spool without bound before a retrain round drains it.
+ */
+constexpr std::size_t kRecorderMaxPrograms = 256;
+
 /** Flight-recorder spool parameters. */
 struct RecorderConfig
 {
@@ -47,13 +54,6 @@ struct RecorderConfig
      * rejected at flag()).
      */
     std::vector<std::uint32_t> periods;
-
-    /**
-     * Capture ceiling per cycle: programs flagged beyond it are
-     * dropped (counted, not buffered) so a flood of suspects cannot
-     * grow the spool without bound before a retrain round drains it.
-     */
-    std::size_t maxPrograms = 256;
 };
 
 /** Streams flagged programs to a corpus spool and replays them. */
@@ -65,9 +65,9 @@ class FlightRecorder
     /**
      * Capture @p prog into the current spool (windows for every
      * configured period, encoded immediately — no in-memory window
-     * buffering). Returns Unavailable once the cycle's maxPrograms
-     * ceiling is hit (the program is counted dropped), or the
-     * writer's error.
+     * buffering). Returns Unavailable once the cycle's
+     * kRecorderMaxPrograms ceiling is hit (the program is counted
+     * dropped), or the writer's error.
      */
     support::Status flag(const features::ProgramFeatures &prog);
 

@@ -37,10 +37,7 @@ FaultInjector::perturbCount(std::uint64_t value)
     if (config_.counterNoiseSigma > 0.0)
         x *= 1.0 + rng_.gaussian(0.0, config_.counterNoiseSigma);
     x = std::max(x, 0.0);
-    auto result = static_cast<std::uint64_t>(std::llround(x));
-    if (config_.quantizeStep > 1)
-        result -= result % config_.quantizeStep;
-    return result;
+    return static_cast<std::uint64_t>(std::llround(x));
 }
 
 void
@@ -127,7 +124,7 @@ FaultInjector::perturbWindow(features::RawWindow &window)
         window.cycles *= keep;
     }
 
-    if (config_.counterNoiseSigma > 0.0 || config_.quantizeStep > 1 ||
+    if (config_.counterNoiseSigma > 0.0 ||
         config_.stuckCounterProb > 0.0) {
         for (auto &count : window.opcodeCounts)
             count = static_cast<std::uint32_t>(

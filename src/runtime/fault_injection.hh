@@ -4,7 +4,7 @@
  * paths of a deployed detector.
  *
  * A deployed HMD does not see the clean-lab feature stream: counter
- * reads are noisy and quantized, counters get stuck, reads fail
+ * reads are noisy, counters get stuck, reads fail
  * transiently, epochs are lost or windows truncated when the
  * collection logic is preempted, and model bytes can be corrupted in
  * storage or transit. This layer models those faults as seeded,
@@ -37,9 +37,6 @@ struct FaultConfig
 {
     /** Relative Gaussian noise on every counter value (sigma). */
     double counterNoiseSigma = 0.0;
-
-    /** Quantization: counters are rounded down to this step. */
-    std::uint32_t quantizeStep = 0;
 
     /**
      * Per-window chance that one architectural counter sticks at
@@ -123,7 +120,7 @@ class FaultInjector
 
     /**
      * Apply the per-window content faults in place (truncation,
-     * noise, quantization, stuck counter).
+     * noise, stuck counter).
      */
     WindowFault perturbWindow(features::RawWindow &window);
 

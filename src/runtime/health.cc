@@ -80,8 +80,6 @@ HealthMonitor::HealthMonitor(std::size_t pool_size,
     fatal_if(pool_size == 0, "HealthMonitor needs a non-empty pool");
     fatal_if(config_.failureThreshold == 0,
              "failure threshold must be positive");
-    fatal_if(config_.probationSuccesses == 0,
-             "probation success count must be positive");
 }
 
 void
@@ -108,7 +106,7 @@ HealthMonitor::recordSuccess(std::size_t detector)
     DetectorState &state = states_.at(detector);
     state.consecutiveFailures = 0;
     if (state.health == DetectorHealth::Probation) {
-        if (++state.probationStreak >= config_.probationSuccesses) {
+        if (++state.probationStreak >= kProbationSuccesses) {
             state.health = DetectorHealth::Healthy;
             events_.push_back({epoch_, detector,
                                HealthEvent::Kind::Recovery,

@@ -49,10 +49,10 @@ struct HealthConfig
 
     /** Epochs a detector stays quarantined before probation. */
     std::uint64_t quarantineEpochs = 32;
-
-    /** Consecutive probation successes to return to Healthy. */
-    std::size_t probationSuccesses = 4;
 };
+
+/** Consecutive probation successes that return a detector to Healthy. */
+constexpr std::size_t kProbationSuccesses = 4;
 
 /**
  * Hard ceiling on failover redraws for one failed epoch. Part of the

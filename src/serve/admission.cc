@@ -51,13 +51,8 @@ AdmissionController::TenantState &
 AdmissionController::stateFor(std::uint64_t tenant)
 {
     auto it = tenants_.find(tenant);
-    if (it == tenants_.end()) {
-        const auto quota_it = config_.tenantQuotas.find(tenant);
-        const TenantQuota &quota = quota_it != config_.tenantQuotas.end()
-                                       ? quota_it->second
-                                       : config_.defaultQuota;
-        it = tenants_.emplace(tenant, TenantState(quota)).first;
-    }
+    if (it == tenants_.end())
+        it = tenants_.emplace(tenant, TenantState(config_.quota)).first;
     return it->second;
 }
 
@@ -76,10 +71,8 @@ AdmissionController::admit(std::uint64_t tenant, double now,
     // others (the token is deliberately spent — a tenant flooding a
     // congested queue drains its burst instead of winning the race
     // the moment pressure drops).
-    if (config_.fairShareWatermark > 0.0 &&
-        static_cast<double>(depth) >=
-            config_.fairShareWatermark *
-                static_cast<double>(queueCapacity_)) {
+    if (static_cast<double>(depth) >=
+        kFairShareWatermark * static_cast<double>(queueCapacity_)) {
         const std::size_t sharers = std::max<std::size_t>(
             1, activeTenants_ + (state.outstanding == 0 ? 1 : 0));
         const std::size_t share =
@@ -120,8 +113,6 @@ CircuitBreaker::CircuitBreaker(BreakerConfig config) : config_(config)
 {
     fatal_if(config_.failureThreshold == 0,
              "breaker failure threshold must be positive");
-    fatal_if(config_.probeQuota == 0,
-             "breaker probe quota must be positive");
 }
 
 void
@@ -157,7 +148,7 @@ CircuitBreaker::allow(double now)
         probeSuccesses_ = 0;
         [[fallthrough]];
       case State::HalfOpen:
-        if (probesIssued_ >= config_.probeQuota)
+        if (probesIssued_ >= kBreakerProbes)
             return false;
         ++probesIssued_;
         return true;
@@ -175,7 +166,7 @@ CircuitBreaker::recordSuccess(double now)
         consecutiveFailures_ = 0;
         return;
       case State::HalfOpen:
-        if (++probeSuccesses_ >= config_.probeQuota) {
+        if (++probeSuccesses_ >= kBreakerProbes) {
             state_ = State::Closed;
             consecutiveFailures_ = 0;
             consecutiveOpens_ = 0;

@@ -9,8 +9,8 @@
  * This layer adds both decisions at the admission boundary:
  *
  *  - TokenBucket / AdmissionController: each tenant draws from its
- *    own token bucket (rate + burst), and once the queue is past a
- *    configurable watermark, a tenant already holding more than its
+ *    own token bucket (rate + burst), and once the queue is past
+ *    kFairShareWatermark, a tenant already holding more than its
  *    fair share of the queue is shed even if it has tokens — one
  *    noisy tenant cannot starve the rest.
  *
@@ -73,25 +73,22 @@ class TokenBucket
     bool primed_ = false;
 };
 
+/**
+ * Queue-depth fraction above which fair-share enforcement kicks in:
+ * a tenant holding >= capacity / active-tenants queued requests is
+ * shed until it drains, so the last quarter of the queue is kept
+ * fair.
+ */
+constexpr double kFairShareWatermark = 0.75;
+
 /** Admission-control knobs. */
 struct AdmissionConfig
 {
     /** Off by default: existing deployments admit on queue space alone. */
     bool enabled = false;
 
-    /** Quota for tenants without an explicit entry. */
-    TenantQuota defaultQuota{};
-
-    /** Per-tenant overrides. */
-    std::map<std::uint64_t, TenantQuota> tenantQuotas;
-
-    /**
-     * Queue-depth fraction above which fair-share enforcement kicks
-     * in: a tenant holding >= capacity / active-tenants queued
-     * requests is shed until it drains. <= 0 disables; 0.75 means
-     * "the last quarter of the queue is kept fair".
-     */
-    double fairShareWatermark = 0.75;
+    /** The budget each tenant's own bucket starts from. */
+    TenantQuota quota{};
 };
 
 /**
@@ -140,6 +137,9 @@ class AdmissionController
     std::size_t activeTenants_ = 0;
 };
 
+/** Probes a half-open breaker admits; all must succeed to close it. */
+constexpr std::size_t kBreakerProbes = 2;
+
 /** Circuit-breaker knobs. */
 struct BreakerConfig
 {
@@ -148,9 +148,6 @@ struct BreakerConfig
 
     /** Consecutive failures/sheds that open the breaker. */
     std::size_t failureThreshold = 8;
-
-    /** Probes admitted while half-open; all must succeed to close. */
-    std::size_t probeQuota = 2;
 
     /**
      * Cool-down schedule in virtual seconds: the Nth consecutive
@@ -181,7 +178,7 @@ class CircuitBreaker
     /**
      * May a request enter at virtual time @p now? Performs the
      * Open→HalfOpen transition when the cool-down has elapsed; while
-     * half-open, admits up to probeQuota probes.
+     * half-open, admits up to kBreakerProbes probes.
      */
     bool allow(double now);
 

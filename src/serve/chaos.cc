@@ -16,7 +16,12 @@ namespace rhmd::serve
 {
 
 ChaosInjector::ChaosInjector(const ChaosConfig &config)
-    : config_(config), rng_(config.seed)
+    : config_(config),
+      active_(config.workerStallProb > 0.0 || config.batchDelayProb > 0.0 ||
+              config.transientScoreFaultProb > 0.0 ||
+              !config.brokenDetectors.empty() ||
+              static_cast<bool>(config.onBatchPlanned)),
+      rng_(config.seed)
 {
     for (double p :
          {config_.workerStallProb, config_.batchDelayProb,
@@ -29,7 +34,7 @@ ChaosInjector::ChaosInjector(const ChaosConfig &config)
 bool
 ChaosInjector::roll(double prob)
 {
-    if (!config_.enabled || prob <= 0.0)
+    if (prob <= 0.0)
         return false;
     const std::lock_guard<std::mutex> lock(mutex_);
     return rng_.chance(prob);
@@ -58,7 +63,7 @@ bool
 ChaosInjector::scoreFault(std::uint64_t key, std::size_t epoch,
                           std::size_t detector) const
 {
-    if (!config_.enabled)
+    if (!active_)
         return false;
     if (std::find(config_.brokenDetectors.begin(),
                   config_.brokenDetectors.end(),
@@ -72,7 +77,7 @@ ChaosInjector::scoreFault(std::uint64_t key, std::size_t epoch,
 void
 ChaosInjector::batchPlanned(std::uint64_t pool_version) const
 {
-    if (config_.enabled && config_.onBatchPlanned)
+    if (config_.onBatchPlanned)
         config_.onBatchPlanned(pool_version);
 }
 

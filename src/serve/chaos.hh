@@ -42,12 +42,13 @@
 namespace rhmd::serve
 {
 
-/** Service-level fault rates; all default to "no chaos". */
+/**
+ * Service-level fault rates; all default to "no chaos". The injector
+ * is active when any rate is positive, a detector is broken or the
+ * onBatchPlanned hook is set; otherwise every hook is a no-op.
+ */
 struct ChaosConfig
 {
-    /** Master switch; false = all hooks are no-ops. */
-    bool enabled = false;
-
     /** Per-wake chance a worker stalls before draining a batch. */
     double workerStallProb = 0.0;
 
@@ -104,12 +105,12 @@ class ChaosInjector
     /** Invoke the onBatchPlanned hook, when configured. */
     void batchPlanned(std::uint64_t pool_version) const;
 
-    const ChaosConfig &config() const { return config_; }
-
   private:
     bool roll(double prob);
 
     ChaosConfig config_;
+    /** Any fault or hook configured; derived once at construction. */
+    bool active_;
     std::mutex mutex_;
     Rng rng_;
 };

@@ -647,28 +647,22 @@ DetectionService::shadowScore(const features::ProgramFeatures &prog,
     // pool version the request happened to be served by.
     Rng rng = switchRng_.at(key);
     core::EpochPlan plan(candidate.detectors(), candidate.decisionPeriod());
-    // Per-epoch margins, 0 where the score was invalid, summed in
-    // epoch order below.
-    std::vector<double> margins(plan.draw(prog, [&rng, &candidate] {
+    plan.draw(prog, [&rng, &candidate] {
         return rng.weightedIndex(candidate.policy());
-    }));
+    });
     std::size_t malware_votes = 0;
     std::size_t classified = 0;
     plan.score([&](std::size_t d,
-                   const std::vector<core::EpochPlan::Slot> &slots,
+                   const std::vector<core::EpochPlan::Slot> &,
                    const std::vector<double> &scores) {
         const double threshold = candidate.detectors()[d]->threshold();
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            if (!validScore(scores[i]))
+        for (const double score : scores) {
+            if (!validScore(score))
                 continue;
             ++classified;
-            malware_votes += scores[i] >= threshold ? 1 : 0;
-            margins[slots[i].epoch] = std::abs(scores[i] - threshold);
+            malware_votes += score >= threshold ? 1 : 0;
         }
     });
-    double margin_sum = 0.0;
-    for (double margin : margins)
-        margin_sum += margin;
     const int shadow_decision = core::majorityVote(malware_votes, classified);
     const std::lock_guard<std::mutex> lock(shadowMutex_);
     shadowStats_.requests += 1;
@@ -677,9 +671,6 @@ DetectionService::shadowScore(const features::ProgramFeatures &prog,
         static_cast<std::size_t>(shadow_decision);
     shadowStats_.liveMalware +=
         static_cast<std::size_t>(live_decision);
-    shadowStats_.marginSum +=
-        classified > 0 ? margin_sum / static_cast<double>(classified)
-                       : 0.0;
 }
 
 } // namespace rhmd::serve

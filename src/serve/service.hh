@@ -192,9 +192,6 @@ struct ShadowStats
 
     /** Requests the live pool flagged malware. */
     std::size_t liveMalware = 0;
-
-    /** Sum of the candidate's per-request mean margins. */
-    double marginSum = 0.0;
 };
 
 /**

@@ -8,6 +8,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <type_traits>
@@ -37,6 +38,27 @@ parseUnsigned(const char *text, T &out)
         value > std::numeric_limits<T>::max())
         return false;
     out = static_cast<T>(value);
+    return true;
+}
+
+/**
+ * Parse @p text as a finite double into @p out (strtod syntax). The
+ * text must be consumed whole and must not start with a space, so
+ * "3x", "abc" and "" are rejected, where a bare strtod would read 3,
+ * 0 and 0; "inf", "nan" and out-of-range values such as "1e999" are
+ * rejected too. Returns false, leaving @p out unchanged, on
+ * rejection.
+ */
+inline bool
+parseDouble(const char *text, double &out)
+{
+    if (text[0] == '\0' || std::isspace(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (*end != '\0' || !std::isfinite(value))
+        return false;
+    out = value;
     return true;
 }
 

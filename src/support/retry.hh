@@ -21,6 +21,12 @@
 namespace rhmd::support
 {
 
+/** Growth factor of the backoff from one retry to the next. */
+constexpr double kBackoffMultiplier = 2.0;
+
+/** Cap on any one backoff, in virtual time units. */
+constexpr double kMaxBackoff = 64.0;
+
 /** Exponential-backoff retry parameters. */
 struct RetryPolicy
 {
@@ -29,15 +35,12 @@ struct RetryPolicy
 
     /** Backoff before the first retry, in virtual time units. */
     double initialBackoff = 1.0;
-
-    /** Multiplier applied per retry. */
-    double backoffMultiplier = 2.0;
-
-    /** Backoff cap. */
-    double maxBackoff = 64.0;
 };
 
-/** Backoff before retry number @p retry (1-based), per @p policy. */
+/**
+ * Backoff before retry number @p retry (1-based): initialBackoff
+ * times kBackoffMultiplier per earlier retry, capped at kMaxBackoff.
+ */
 double backoffDelay(const RetryPolicy &policy, std::size_t retry);
 
 /** Bookkeeping a retried call reports back. */

@@ -235,8 +235,7 @@ ProgramGenerator::generate(const FamilyProfile &profile,
     // programs are "hard" (heavily blended), the rest clearly typed.
     std::vector<double> mix = profile.bodyMix;
     normalizeInPlace(mix);
-    mix = rng.perturbedSimplex(
-        mix, profile.mixSpread * config_.jitterScale);
+    mix = rng.perturbedSimplex(mix, profile.mixSpread);
     const double blend = rng.chance(config_.hardFrac)
         ? config_.hardBlend
         : config_.commonBlend;

@@ -40,9 +40,6 @@ struct GeneratorConfig
     double hardBlend = 0.55;
     double hardFrac = 0.22;
 
-    /** Scale on every profile's per-program mix jitter. */
-    double jitterScale = 1.0;
-
     /**
      * Fraction of each block body filled by quota (deficit-greedy)
      * sampling instead of i.i.d. draws. Quota sampling keeps every

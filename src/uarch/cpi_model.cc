@@ -10,10 +10,9 @@
 namespace rhmd::uarch
 {
 
-CpiModel::CpiModel(const CpiConfig &config)
-    : config_(config)
+CpiModel::CpiModel()
 {
-    const double base = 1.0 / config_.issueWidth;
+    const double base = 1.0 / kIssueWidth;
     for (std::size_t op = 0; op < trace::kNumOpClasses; ++op) {
         const auto &info = trace::opInfo(trace::opFromIndex(op));
         const double latency = info.latency > 2

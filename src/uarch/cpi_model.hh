@@ -20,15 +20,14 @@
 namespace rhmd::uarch
 {
 
-/** Penalty/throughput parameters of the modelled core. */
-struct CpiConfig
-{
-    double issueWidth = 2.0;         ///< sustained instructions/cycle
-    double dcacheMissPenalty = 20.0; ///< cycles per L1D miss
-    double icacheMissPenalty = 12.0; ///< cycles per L1I miss
-    double mispredictPenalty = 14.0; ///< cycles per branch mispredict
-    double unalignedPenalty = 2.0;   ///< extra cycles per split access
-};
+/** Sustained instructions per cycle of the modelled core. */
+inline constexpr double kIssueWidth = 2.0;
+
+// Stall penalties of the modelled core, in cycles per event.
+inline constexpr double kDcacheMissPenalty = 20.0; ///< per L1D miss
+inline constexpr double kIcacheMissPenalty = 12.0; ///< per L1I miss
+inline constexpr double kMispredictPenalty = 14.0; ///< per mispredict
+inline constexpr double kUnalignedPenalty = 2.0;   ///< per split access
 
 /**
  * Accumulates an estimated cycle count. Long-latency opcodes
@@ -38,7 +37,7 @@ struct CpiConfig
 class CpiModel
 {
   public:
-    explicit CpiModel(const CpiConfig &config = {});
+    CpiModel();
 
     /** Account one instruction and its outcomes. */
     [[gnu::always_inline]] void
@@ -46,12 +45,12 @@ class CpiModel
     {
         ++instructions_;
         double stall = 0.0;
-        stall += outcome.dcacheMisses * config_.dcacheMissPenalty;
-        stall += outcome.icacheMisses * config_.icacheMissPenalty;
+        stall += outcome.dcacheMisses * kDcacheMissPenalty;
+        stall += outcome.icacheMisses * kIcacheMissPenalty;
         if (outcome.mispredicted)
-            stall += config_.mispredictPenalty;
+            stall += kMispredictPenalty;
         if (outcome.unaligned)
-            stall += config_.unalignedPenalty;
+            stall += kUnalignedPenalty;
         cycles_ += opCycles_[static_cast<std::size_t>(inst.op)] + stall;
     }
 
@@ -65,7 +64,6 @@ class CpiModel
     double cpi() const;
 
   private:
-    CpiConfig config_;
     /**
      * Stall-free cycles per opcode class: the issue slot, or half
      * the latency of a long-latency op (partially overlapped),

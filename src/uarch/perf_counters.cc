@@ -25,11 +25,9 @@ eventRates(const EventCounts &counts, double insts, double *out)
         out[e] = static_cast<double>(counts[e]) / insts;
 }
 
-PerfMonitor::PerfMonitor(const PmuConfig &config)
-    : icache_(config.icache),
-      dcache_(config.dcache),
-      predictor_(config.predictorTableBits,
-                 config.useGshare ? config.predictorTableBits : 0)
+PerfMonitor::PerfMonitor()
+    : icache_(kL1Geometry), dcache_(kL1Geometry),
+      predictor_(kPredictorBits, kPredictorBits)
 {
 }
 

@@ -69,25 +69,25 @@ struct StepOutcome
     bool unaligned = false;
 };
 
-/** Configuration of the modelled monitoring hardware. */
-struct PmuConfig
-{
-    CacheConfig icache{32 * 1024, 8, 64};
-    CacheConfig dcache{32 * 1024, 8, 64};
-    std::uint32_t predictorTableBits = 12;
-    bool useGshare = true;
-};
+/** Geometry of the modelled core's L1 instruction and data caches:
+ *  32 KiB, 8-way, 64-byte lines. */
+inline constexpr CacheConfig kL1Geometry{32 * 1024, 8, 64};
+
+/** log2 of the modelled gshare predictor's counter table, which is
+ *  also its global-history length. */
+inline constexpr std::uint32_t kPredictorBits = 12;
 
 /**
- * The monitoring unit: one instance per executing program. step()
- * consumes each committed instruction, updates the structural models,
- * and bumps the event counters. The feature extractor snapshots and
- * clears the counters at collection-window boundaries.
+ * The monitoring unit of the one modelled core: one instance per
+ * executing program. step() consumes each committed instruction,
+ * updates the structural models, and bumps the event counters. The
+ * feature extractor snapshots and clears the counters at
+ * collection-window boundaries.
  */
 class PerfMonitor
 {
   public:
-    explicit PerfMonitor(const PmuConfig &config = {});
+    PerfMonitor();
 
     /**
      * Account one committed instruction. Inline, like everything it
@@ -111,7 +111,7 @@ class PerfMonitor
 
     Cache icache_;
     Cache dcache_;
-    BranchPredictor predictor_;  ///< gshare or bimodal, per PmuConfig
+    BranchPredictor predictor_;  ///< gshare
     EventCounts counts_{};
 };
 

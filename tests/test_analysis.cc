@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
 
 #include "analysis/cfg.hh"
 #include "analysis/dataflow.hh"
@@ -245,8 +247,8 @@ TEST(Liveness, CallsUseArgsAndClobberScratch)
 
 TEST(Liveness, ObservableUsesIgnoreInjectedReaders)
 {
-    // An injected chain t0 = r1 + r1 does not make r1 live when only
-    // observable uses count — the whole chain is removable.
+    // An injected chain t0 = r1 + r1 does not make r1 live: only
+    // observable uses count, and the whole chain is removable.
     trace::Program prog;
     prog.regions = {{0x1000, 4096}};
     trace::Function fn;
@@ -258,12 +260,8 @@ TEST(Liveness, ObservableUsesIgnoreInjectedReaders)
     fn.blocks[0].term = exitTerm();
     prog.functions.push_back(std::move(fn));
 
-    const Liveness plain = Liveness::compute(prog.functions[0]);
-    EXPECT_TRUE(contains(plain.liveIn(0), kR1));
-
-    const Liveness observable =
-        Liveness::compute(prog.functions[0], {true});
-    EXPECT_FALSE(contains(observable.liveIn(0), kR1));
+    const Liveness live = Liveness::compute(prog.functions[0]);
+    EXPECT_FALSE(contains(live.liveIn(0), kR1));
 }
 
 // --- CFG verifier ---------------------------------------------------
@@ -337,6 +335,108 @@ TEST(CfgVerifier, RejectsStructuralDamage)
         Report report;
         EXPECT_FALSE(checkProgramCfg(prog, report));
         EXPECT_EQ(report.errorCount(), 2u);  // no functions, no regions
+    }
+}
+
+/** The first block of @p prog whose terminator is a @p kind. */
+trace::BasicBlock &
+firstBlockEnding(trace::Program &prog, TermKind kind)
+{
+    for (trace::Function &fn : prog.functions)
+        for (trace::BasicBlock &block : fn.blocks)
+            if (block.term.kind == kind)
+                return block;
+    throw std::logic_error("no block ends in the requested kind");
+}
+
+/** The first body instruction of @p prog that @p pred accepts. */
+trace::StaticInst &
+firstInst(trace::Program &prog,
+          const std::function<bool(const trace::StaticInst &)> &pred)
+{
+    for (trace::Function &fn : prog.functions)
+        for (trace::BasicBlock &block : fn.blocks)
+            for (trace::StaticInst &inst : block.body)
+                if (pred(inst))
+                    return inst;
+    throw std::logic_error("no instruction matches");
+}
+
+bool
+anyInst(const trace::StaticInst &)
+{
+    return true;
+}
+
+bool
+regionMemInst(const trace::StaticInst &inst)
+{
+    return trace::accessesMemory(inst.op) &&
+           inst.mem.pattern != trace::AddrPattern::StackSlot;
+}
+
+TEST(CfgVerifier, ReportsEveryRuleValidatePanicsOn)
+{
+    // One mutation per Program::validate() rule: each must abort
+    // validate() and draw an error finding from verifyProgram, so a
+    // program the verifier passes is one the Executor accepts.
+    using Mutation = std::function<void(trace::Program &)>;
+    constexpr std::uint32_t kFar = 1u << 30;
+    constexpr auto kBadReg = static_cast<RegId>(trace::kNumRegs);
+    const std::vector<std::pair<const char *, Mutation>> cases = {
+        {"has no functions", [](auto &p) { p.functions.clear(); }},
+        {"has no regions", [](auto &p) { p.regions.clear(); }},
+        {"empty region", [](auto &p) { p.regions.back().size = 0; }},
+        {"has no blocks",
+         [](auto &p) { p.functions.back().blocks.clear(); }},
+        {"branch target out of range",
+         [](auto &p) {
+             firstBlockEnding(p, TermKind::CondBranch).term.fallTarget =
+                 kFar;
+         }},
+        {"bad taken probability",
+         [](auto &p) {
+             firstBlockEnding(p, TermKind::CondBranch).term.takenProb =
+                 -0.5;
+         }},
+        {"jump target out of range",
+         [](auto &p) {
+             firstBlockEnding(p, TermKind::Jump).term.takenTarget = kFar;
+         }},
+        {"callee out of range",
+         [](auto &p) {
+             firstBlockEnding(p, TermKind::Call).term.callee =
+                 static_cast<std::uint32_t>(p.functions.size());
+         }},
+        {"call continuation out of range",
+         [](auto &p) {
+             firstBlockEnding(p, TermKind::Call).term.fallTarget = kFar;
+         }},
+        {"terminator register out of range",
+         [](auto &p) {
+             p.functions[0].blocks[0].term.condSrc1 = kBadReg;
+         }},
+        {"control-flow op in block body",
+         [](auto &p) { firstInst(p, anyInst).op = OpClass::Call; }},
+        {"register operand out of range",
+         [](auto &p) { firstInst(p, anyInst).src2 = kBadReg; }},
+        {"access size not a power of two",
+         [](auto &p) { firstInst(p, regionMemInst).mem.accessSize = 3; }},
+        {"mem region out of range",
+         [](auto &p) {
+             firstInst(p, regionMemInst).mem.region =
+                 static_cast<std::uint8_t>(p.regions.size());
+         }},
+    };
+
+    const trace::Program base = generated();
+    base.validate();
+    ASSERT_TRUE(verifyProgram(base).clean());
+    for (const auto &[panic, mutate] : cases) {
+        trace::Program prog = base;
+        mutate(prog);
+        EXPECT_DEATH(prog.validate(), panic);
+        EXPECT_GT(verifyProgram(prog).errorCount(), 0u) << panic;
     }
 }
 

@@ -32,9 +32,7 @@ TEST(CpiModel, EmptyIsZero)
 
 TEST(CpiModel, SimpleOpsBoundByIssueWidth)
 {
-    CpiConfig config;
-    config.issueWidth = 2.0;
-    CpiModel model(config);
+    CpiModel model;
     for (int i = 0; i < 100; ++i)
         model.account(simpleInst(OpClass::IntAdd), {});
     EXPECT_NEAR(model.cpi(), 0.5, 1e-12);
@@ -53,33 +51,24 @@ TEST(CpiModel, LongLatencyOpsCostMore)
 
 TEST(CpiModel, StallPenaltiesAdd)
 {
-    CpiConfig config;
-    config.issueWidth = 1.0;
-    config.dcacheMissPenalty = 20.0;
-    config.icacheMissPenalty = 12.0;
-    config.mispredictPenalty = 14.0;
-    config.unalignedPenalty = 2.0;
-    CpiModel model(config);
-
+    CpiModel model;
     StepOutcome outcome;
     outcome.dcacheMisses = 1;
     outcome.icacheMisses = 1;
     outcome.mispredicted = true;
     outcome.unaligned = true;
     model.account(simpleInst(OpClass::IntAdd), outcome);
-    EXPECT_NEAR(model.cycles(), 1.0 + 20.0 + 12.0 + 14.0 + 2.0, 1e-12);
+    // Half an issue slot at width 2, then the four penalties.
+    EXPECT_NEAR(model.cycles(), 0.5 + 20.0 + 12.0 + 14.0 + 2.0, 1e-12);
 }
 
 TEST(CpiModel, MultipleMissesScaleLinearly)
 {
-    CpiConfig config;
-    config.issueWidth = 1.0;
-    CpiModel model(config);
+    CpiModel model;
     StepOutcome outcome;
     outcome.dcacheMisses = 3;
     model.account(simpleInst(OpClass::IntAdd), outcome);
-    EXPECT_NEAR(model.cycles(), 1.0 + 3 * config.dcacheMissPenalty,
-                1e-12);
+    EXPECT_NEAR(model.cycles(), 0.5 + 3 * kDcacheMissPenalty, 1e-12);
 }
 
 TEST(CpiModel, CpiIsCyclesOverInstructions)

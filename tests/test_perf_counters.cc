@@ -173,19 +173,4 @@ TEST(PerfMonitor, ClearCountsKeepsStructuralState)
     EXPECT_EQ(outcome.dcacheMisses, 0u);
 }
 
-TEST(PerfMonitor, BimodalConfigSelectable)
-{
-    PmuConfig config;
-    config.useGshare = false;
-    PerfMonitor pmu(config);
-    DynInst branch = makeInst(OpClass::BranchCond, 0x400900);
-    branch.isBranch = true;
-    branch.isCondBranch = true;
-    branch.taken = true;
-    for (int i = 0; i < 50; ++i)
-        pmu.step(branch);
-    const std::uint64_t mis = count(pmu, Event::Mispredicts);
-    EXPECT_LT(mis, 5u);
-}
-
 } // namespace

@@ -239,21 +239,23 @@ TEST(Recorder, SpoolRoundTripIsBitExact)
 TEST(Recorder, CaptureCeilingDropsAndCounts)
 {
     const core::Experiment &exp = sharedExperiment();
+    const auto &programs = exp.corpus().programs;
     RecorderConfig config;
     config.path = tempPath("recorder_ceiling.rhmdc");
     config.periods = exp.corpus().periods;
-    config.maxPrograms = 2;
     FlightRecorder recorder(config);
-    EXPECT_TRUE(recorder.flag(exp.corpus().programs[0]).isOk());
-    EXPECT_TRUE(recorder.flag(exp.corpus().programs[1]).isOk());
-    EXPECT_EQ(recorder.flag(exp.corpus().programs[2]).code(),
+    // Flag kRecorderMaxPrograms suspects, cycling through the corpus,
+    // then one more.
+    for (std::size_t i = 0; i < kRecorderMaxPrograms; ++i)
+        ASSERT_TRUE(recorder.flag(programs[i % programs.size()]).isOk());
+    EXPECT_EQ(recorder.flag(programs[0]).code(),
               support::StatusCode::Unavailable);
-    EXPECT_EQ(recorder.programCount(), 2u);
+    EXPECT_EQ(recorder.programCount(), kRecorderMaxPrograms);
     EXPECT_EQ(recorder.droppedPrograms(), 1u);
     // The ceiling bounds the cycle, not the recorder: draining
     // re-arms capture.
     ASSERT_TRUE(recorder.drain().isOk());
-    EXPECT_TRUE(recorder.flag(exp.corpus().programs[2]).isOk());
+    EXPECT_TRUE(recorder.flag(programs[0]).isOk());
     EXPECT_EQ(recorder.droppedPrograms(), 0u);
     std::remove(config.path.c_str());
 }
@@ -393,7 +395,6 @@ loopConfig(const std::string &spool)
     pc.recorder.path = tempPath(spool);
     pc.recorder.periods = exp.corpus().periods;
     pc.shadowMinRequests = 8;
-    pc.driftOnQuarantine = false;
     return pc;
 }
 
@@ -443,6 +444,42 @@ TEST(Pipeline, AllBenignStreamNeverRetrains)
     EXPECT_EQ(loop.phase(), RetrainPipeline::Phase::Monitoring);
     EXPECT_EQ(service.poolVersion(), 1u);
     EXPECT_EQ(loop.candidatePool(), nullptr);
+    std::remove(pc.recorder.path.c_str());
+}
+
+TEST(Pipeline, QuarantineFiresDriftWithoutSuspects)
+{
+    const core::Experiment &exp = sharedExperiment();
+    // Detector 0 fails every score, and its first failure quarantines
+    // it for good.
+    serve::ServeConfig sc;
+    sc.workers = 1;
+    sc.health.failureThreshold = 1;
+    sc.health.quarantineEpochs = 1u << 20;
+    sc.chaos.brokenDetectors = {0};
+    serve::DetectionService service(threeDetectorPool(), sc);
+    PipelineConfig pc = loopConfig("loop_quarantine.rhmdc");
+    // No request is a suspect and the fail-over rate never fires, so
+    // the quarantine in the serving snapshot is the only drift signal.
+    pc.drift.marginFloor = -1.0;
+    RetrainPipeline loop(service, exp.corpus(),
+                         exp.split().victimTrain, pc);
+
+    std::uint64_t next_key = 0;
+    serveAndObserve(service, loop, next_key, 8);
+    ASSERT_EQ(service.healthSnapshot().quarantinedCount(), 1u);
+    EXPECT_EQ(loop.driftStats().suspects, 0u);
+    const auto step = loop.step();
+    ASSERT_TRUE(step.isOk()) << step.status().toString();
+    EXPECT_TRUE(step->driftFired);
+    EXPECT_FALSE(step->retrained);
+    EXPECT_EQ(step->gate.code(),
+              support::StatusCode::FailedPrecondition);
+    EXPECT_NE(step->gate.message().find("no captured suspects"),
+              std::string::npos);
+    EXPECT_EQ(loop.generation(), 0u);
+    EXPECT_EQ(loop.phase(), RetrainPipeline::Phase::Monitoring);
+    EXPECT_EQ(service.poolVersion(), 1u);
     std::remove(pc.recorder.path.c_str());
 }
 

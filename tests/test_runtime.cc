@@ -94,7 +94,6 @@ TEST(HealthMonitor, ProbationAndRecovery)
     HealthConfig config;
     config.failureThreshold = 2;
     config.quarantineEpochs = 4;
-    config.probationSuccesses = 3;
     HealthMonitor monitor(1, config);
 
     monitor.tick();
@@ -111,9 +110,10 @@ TEST(HealthMonitor, ProbationAndRecovery)
     ASSERT_EQ(monitor.health(0), DetectorHealth::Probation);
     EXPECT_TRUE(monitor.available(0));
 
-    // Clean scores graduate the detector back to healthy.
-    monitor.recordSuccess(0);
-    monitor.recordSuccess(0);
+    // kProbationSuccesses (4) clean scores graduate the detector
+    // back to healthy.
+    for (int i = 0; i < 3; ++i)
+        monitor.recordSuccess(0);
     EXPECT_EQ(monitor.health(0), DetectorHealth::Probation);
     monitor.recordSuccess(0);
     EXPECT_EQ(monitor.health(0), DetectorHealth::Healthy);
@@ -402,7 +402,6 @@ TEST(Sense, NoisyWindowsStillClassifyEveryEpoch)
     auto pool = threeDetectorPool();
     FaultConfig config;
     config.counterNoiseSigma = 0.1;
-    config.quantizeStep = 4;
     config.seed = 31;
     FaultInjector sensor(config);
     serve::DetectionService service(*pool, serialService());

@@ -203,7 +203,7 @@ TEST(Admission, FairShareBitesOnlyUnderPressure)
 {
     AdmissionConfig config;
     config.enabled = true;
-    config.fairShareWatermark = 0.5; // pressure at depth >= 4 of 8
+    // kFairShareWatermark (0.75): pressure at depth >= 6 of 8.
     AdmissionController admission(config, 8);
 
     // Two active tenants: fair share is 8 / 2 = 4 slots each.
@@ -213,20 +213,20 @@ TEST(Admission, FairShareBitesOnlyUnderPressure)
     EXPECT_EQ(admission.outstanding(0), 4u);
 
     // Below the watermark the heavy tenant is still admitted...
-    EXPECT_TRUE(admission.admit(0, 0.0, 3).isOk());
+    EXPECT_TRUE(admission.admit(0, 0.0, 5).isOk());
     admission.release(0);
 
-    // ...above it, a tenant at its share is shed while a light tenant
+    // ...at it, a tenant at its share is shed while a light tenant
     // sails through.
-    const support::Status over = admission.admit(0, 0.0, 5);
+    const support::Status over = admission.admit(0, 0.0, 6);
     ASSERT_FALSE(over.isOk());
     EXPECT_NE(over.message().find("fair share"), std::string::npos);
-    EXPECT_TRUE(admission.admit(1, 0.0, 5).isOk());
+    EXPECT_TRUE(admission.admit(1, 0.0, 6).isOk());
 
     // Draining the backlog restores admission under pressure.
     for (int i = 0; i < 4; ++i)
         admission.release(0);
-    EXPECT_TRUE(admission.admit(0, 0.0, 5).isOk());
+    EXPECT_TRUE(admission.admit(0, 0.0, 6).isOk());
 }
 
 TEST(Breaker, OpensHalfOpensAndCloses)
@@ -234,9 +234,7 @@ TEST(Breaker, OpensHalfOpensAndCloses)
     BreakerConfig config;
     config.enabled = true;
     config.failureThreshold = 3;
-    config.probeQuota = 2;
     config.cooldown.initialBackoff = 1.0;
-    config.cooldown.backoffMultiplier = 2.0;
     CircuitBreaker breaker(config);
 
     EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
@@ -255,7 +253,7 @@ TEST(Breaker, OpensHalfOpensAndCloses)
     EXPECT_FALSE(breaker.allow(0.5));
     EXPECT_TRUE(breaker.allow(1.1));
     EXPECT_EQ(breaker.state(), CircuitBreaker::State::HalfOpen);
-    // Half-open admits exactly probeQuota probes.
+    // Half-open admits exactly kBreakerProbes (2) probes.
     EXPECT_TRUE(breaker.allow(1.1));
     EXPECT_FALSE(breaker.allow(1.1));
     // All probes succeeding closes it.
@@ -271,7 +269,6 @@ TEST(Breaker, ProbeFailureReopensWithLongerCooldown)
     config.enabled = true;
     config.failureThreshold = 1;
     config.cooldown.initialBackoff = 1.0;
-    config.cooldown.backoffMultiplier = 2.0;
     CircuitBreaker breaker(config);
 
     breaker.recordFailure(0.0); // open #1, cool-down 1s
@@ -282,11 +279,9 @@ TEST(Breaker, ProbeFailureReopensWithLongerCooldown)
     // the doubled one has not.
     EXPECT_FALSE(breaker.allow(2.6));
     EXPECT_TRUE(breaker.allow(3.6));
-    // Closing resets the schedule to the initial cool-down.
+    // Both probes succeeding closes it.
     breaker.recordSuccess(3.6);
-    if (config.probeQuota > 1) {
-        ASSERT_TRUE(breaker.allow(3.6));
-    }
+    ASSERT_TRUE(breaker.allow(3.6));
     breaker.recordSuccess(3.6);
     EXPECT_EQ(breaker.state(), CircuitBreaker::State::Closed);
 }
@@ -494,7 +489,7 @@ TEST(ServeSwap, InFlightBatchFinishesOnItsStartingVersion)
 
     ServeConfig sc;
     sc.workers = 1;
-    sc.chaos.enabled = true; // hooks only; all fault rates stay 0
+    // Hooks only; all fault rates stay 0.
     sc.chaos.onBatchPlanned = [&](std::uint64_t version) {
         if (first_batch.exchange(false)) {
             planned.set_value(version);
@@ -624,8 +619,8 @@ TEST(ServeAdmission, QuotaExhaustionShedsWithoutRefill)
     ServeConfig sc;
     sc.workers = 1;
     sc.admission.enabled = true;
-    sc.admission.defaultQuota.ratePerSecond = 0.0; // no refill
-    sc.admission.defaultQuota.burst = 2.0;
+    sc.admission.quota.ratePerSecond = 0.0; // no refill
+    sc.admission.quota.burst = 2.0;
     DetectionService service(threeDetectorPool(), sc);
 
     const auto &quota = support::metrics().counter(
@@ -699,7 +694,7 @@ TEST(ServeAdmission, FullQueueEvictsExpiredAtSubmitAndPopShedsTheRest)
     sc.maxBatch = 1;
     sc.queueCapacity = 2;
     sc.deadlineSeconds = 0.5;
-    sc.chaos.enabled = true; // hooks only; all fault rates stay 0
+    // Hooks only; all fault rates stay 0.
     sc.chaos.onBatchPlanned = [&](std::uint64_t) {
         if (first_batch.exchange(false)) {
             planned.set_value();
@@ -764,7 +759,6 @@ allBrokenConfig(bool fail_open)
     // One failure quarantines, and nothing recovers within the test.
     sc.health.failureThreshold = 1;
     sc.health.quarantineEpochs = 1u << 20;
-    sc.chaos.enabled = true;
     sc.chaos.brokenDetectors = {0, 1, 2};
     return sc;
 }
@@ -833,7 +827,6 @@ TEST(ServeDegrade, BrokenDetectorIsQuarantinedAndPoolDegrades)
     sc.workers = 1;
     sc.health.failureThreshold = 3;
     sc.health.quarantineEpochs = 1u << 20;  // no probation here
-    sc.chaos.enabled = true;
     sc.chaos.brokenDetectors = {0};
     DetectionService service(threeDetectorPool(), sc);
 
@@ -877,7 +870,6 @@ TEST(ServeDegrade, FailoverSkipsADetectorQuarantinedMidBatch)
     sc.workers = 1;
     sc.health.failureThreshold = 1;
     sc.health.quarantineEpochs = 1u << 20;
-    sc.chaos.enabled = true;
     sc.chaos.brokenDetectors = {0};
     const auto pool = threeDetectorPool();
     const auto &prog = sharedExperiment().corpus().programs[0];
@@ -925,7 +917,6 @@ TEST(ServeDegrade, NeverQuarantineThresholdStillClassifiesEveryEpoch)
 
     // The same threshold with one broken detector: every epoch drawn
     // to it fails over to the other, which a zero budget would lose.
-    sc.chaos.enabled = true;
     sc.chaos.brokenDetectors = {0};
     DetectionService service(twoDetectorPool(), sc);
     std::size_t failures = 0;
@@ -949,7 +940,6 @@ TEST(ServeDegrade, BrokenPoolRedrawsAreCappedPerEpoch)
     ServeConfig sc;
     sc.workers = 1;
     sc.health.failureThreshold = 1u << 12;
-    sc.chaos.enabled = true;
     sc.chaos.brokenDetectors = {0, 1, 2};
     DetectionService service(threeDetectorPool(), sc);
 
@@ -1056,7 +1046,6 @@ TEST(ServeMetrics, HealthSnapshotIsSafeUnderLiveTraffic)
     ServeConfig sc;
     sc.workers = 4;
     sc.queueCapacity = 4096;
-    sc.chaos.enabled = true;
     sc.chaos.transientScoreFaultProb = 0.2; // keeps health churning
     sc.health.failureThreshold = 1u << 20;  // but never quarantines
     DetectionService service(threeDetectorPool(), sc);
@@ -1088,7 +1077,6 @@ TEST(ServeChaos, KeyedFaultsKeepDecisionsScheduleIndependent)
 
     ServeConfig base;
     base.queueCapacity = 4096;
-    base.chaos.enabled = true;
     base.chaos.transientScoreFaultProb = 0.3;
     base.chaos.workerStallProb = 0.1;
     base.chaos.workerStallMicros = 50;

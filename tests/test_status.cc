@@ -68,15 +68,14 @@ TEST(StatusOr, MovesValueOut)
 
 TEST(Retry, BackoffGrowsExponentiallyAndCaps)
 {
+    // Doubling per retry (kBackoffMultiplier), capped at kMaxBackoff.
     RetryPolicy policy;
     policy.initialBackoff = 1.0;
-    policy.backoffMultiplier = 2.0;
-    policy.maxBackoff = 8.0;
     EXPECT_DOUBLE_EQ(backoffDelay(policy, 1), 1.0);
     EXPECT_DOUBLE_EQ(backoffDelay(policy, 2), 2.0);
     EXPECT_DOUBLE_EQ(backoffDelay(policy, 3), 4.0);
-    EXPECT_DOUBLE_EQ(backoffDelay(policy, 4), 8.0);
-    EXPECT_DOUBLE_EQ(backoffDelay(policy, 5), 8.0);
+    EXPECT_DOUBLE_EQ(backoffDelay(policy, 7), 64.0);
+    EXPECT_DOUBLE_EQ(backoffDelay(policy, 8), 64.0);
 }
 
 TEST(Retry, SucceedsAfterTransientFailures)
@@ -165,14 +164,12 @@ TEST(Retry, NonTransientErrorNeverSleepsOrCountsRetries)
 
 TEST(Retry, BackoffCapBoundsEveryWait)
 {
-    // With a fast multiplier the cap dominates the schedule:
-    // 1, 4, then 8 forever.
+    // With a large first backoff the cap dominates the schedule:
+    // 24, 48, then 64 forever.
     RetryPolicy policy;
     policy.maxAttempts = 6;
-    policy.initialBackoff = 1.0;
-    policy.backoffMultiplier = 4.0;
-    policy.maxBackoff = 8.0;
-    const std::vector<double> expected{1.0, 4.0, 8.0, 8.0, 8.0};
+    policy.initialBackoff = 24.0;
+    const std::vector<double> expected{24.0, 48.0, 64.0, 64.0, 64.0};
     for (std::size_t retry = 1; retry <= expected.size(); ++retry)
         EXPECT_DOUBLE_EQ(backoffDelay(policy, retry), expected[retry - 1]);
     RetryStats stats;
@@ -180,7 +177,7 @@ TEST(Retry, BackoffCapBoundsEveryWait)
         policy, [&]() -> Status { return unavailableError("down"); },
         &stats);
     EXPECT_EQ(stats.retries, expected.size());
-    EXPECT_DOUBLE_EQ(stats.backoffSpent, 1.0 + 4.0 + 8.0 * 3);
+    EXPECT_DOUBLE_EQ(stats.backoffSpent, 24.0 + 48.0 + 64.0 * 3);
 }
 
 TEST(Retry, StatsAccumulateAcrossCalls)

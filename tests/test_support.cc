@@ -131,4 +131,17 @@ TEST(ParseUnsigned, AcceptsOnlyAWholeUnsignedNumber)
     EXPECT_EQ(value, 16u);
 }
 
+TEST(ParseDouble, AcceptsOnlyAWholeFiniteNumber)
+{
+    double value = 7.0;
+    for (const char *bad :
+         {"", "abc", "3x", " 1", "1 ", "inf", "-inf", "nan", "1e999"})
+        EXPECT_FALSE(support::parseDouble(bad, value)) << bad;
+    EXPECT_EQ(value, 7.0);
+    EXPECT_TRUE(support::parseDouble("0.25", value));
+    EXPECT_EQ(value, 0.25);
+    EXPECT_TRUE(support::parseDouble("-2e-1", value));
+    EXPECT_EQ(value, -0.2);
+}
+
 } // namespace

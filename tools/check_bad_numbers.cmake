@@ -12,9 +12,13 @@ foreach(tool RHMD_VERIFY RHMD_CERTIFY RHMD_CORPUS)
     endif()
 endforeach()
 
+# The certify cases with a double flag name a small corpus, so a
+# tool that reads the bad value as a number runs quickly to exit 0.
 set(cases
     "${RHMD_VERIFY}|--benign|abc"
     "${RHMD_CERTIFY}|--max-print|3x"
+    "${RHMD_CERTIFY}|--epsilon|abc|--benign|20|--malware|40"
+    "${RHMD_CERTIFY}|--cap|3x|--benign|20|--malware|40"
     "${RHMD_CORPUS}|cat|--program|1x|missing.rhmdc")
 foreach(case IN LISTS cases)
     string(REPLACE "|" ";" command "${case}")

@@ -25,7 +25,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -112,9 +111,11 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--algorithms" && need_value(i)) {
             opt.algorithms = argv[++i];
         } else if (arg == "--epsilon" && need_value(i)) {
-            opt.epsilon = std::strtod(argv[++i], nullptr);
+            if (!support::parseDouble(argv[++i], opt.epsilon))
+                return false;
         } else if (arg == "--cap" && need_value(i)) {
-            opt.cap = std::strtod(argv[++i], nullptr);
+            if (!support::parseDouble(argv[++i], opt.cap))
+                return false;
         } else if (arg == "--check" && need_value(i)) {
             if (!support::parseUnsigned(argv[++i], opt.check))
                 return false;
@@ -299,7 +300,7 @@ main(int argc, char **argv)
                             const double radius =
                                 analysis::certify::stabilityRadius(
                                     det.classifier(), det.threshold(),
-                                    x, options.search);
+                                    x);
                             if (radius <= 0.0)
                                 continue;
                             const double probe =
