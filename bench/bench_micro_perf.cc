@@ -249,7 +249,7 @@ main(int argc, char **argv)
     std::vector<int> window_decisions;
     window_decisions.reserve(window_scores.size());
     for (double s : window_scores)
-        window_decisions.push_back(s >= hmd.threshold() ? 1 : 0);
+        window_decisions.push_back(hmd.decision(s));
 
     std::printf("\nwindow-path determinism (includes truncated tails)\n");
     Table hmd_table({"path", "windows", "score_hash", "decision_hash"});

@@ -317,7 +317,9 @@ main(int argc, char **argv)
         bc.deadlineSeconds = 1e-12;
         bc.breaker.enabled = true;
         bc.breaker.failureThreshold = 2;
-        bc.breaker.cooldown.initialBackoff = 1e9;
+        // backoffDelay caps every cool-down at kMaxBackoff (64 s):
+        // the scenario ends inside that first cool-down.
+        bc.breaker.cooldown.initialBackoff = support::kMaxBackoff;
         serve::DetectionService service(*pool, bc);
         for (std::uint64_t key = 0; key < 3; ++key)
             fatal_if(service.submit(*reqs[0], key).get().isOk(),

@@ -91,8 +91,6 @@ main()
     const runtime::HealthMonitor health = service.healthSnapshot();
     std::printf("\nhealth event log:\n");
     for (const auto &event : health.events()) {
-        if (event.kind == runtime::HealthEvent::Kind::Failure)
-            continue; // one line per state change, not per failure
         std::printf("  epoch %4llu  detector %zu  %-10s  %s\n",
                     static_cast<unsigned long long>(event.epoch),
                     event.detector,

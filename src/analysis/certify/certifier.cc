@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "ml/decision_tree.hh"
+#include "ml/kernels.hh"
 #include "ml/logistic_regression.hh"
 #include "ml/mlp.hh"
 #include "ml/random_forest.hh"
@@ -47,30 +48,17 @@ constexpr std::size_t kRadiusIters = 50;
 /**
  * Stability radius of a thresholded decision over one CART tree's
  * leaf scores: the minimal ℓ∞ distance from @p x to any leaf region
- * whose decision differs from the decision at @p x. @p sel maps tree
- * feature indices to full feature-vector indices (identity when
- * null). Exact in real arithmetic; the caller shaves.
+ * whose decision differs from the decision at @p x. Exact in real
+ * arithmetic; the caller shaves.
  */
 double
 treeOppositeLeafDistance(const std::vector<ml::DecisionTree::Node> &nodes,
-                         double threshold,
-                         const std::vector<std::size_t> *sel,
-                         const std::vector<double> &x)
+                         double threshold, const std::vector<double> &x)
 {
     panic_if(nodes.empty(), "certifier walked an empty tree");
 
-    auto featureOf = [&](std::size_t f) {
-        return sel != nullptr ? (*sel)[f] : f;
-    };
-
-    // The concrete decision's leaf at x.
-    std::int32_t node = 0;
-    while (!nodes[static_cast<std::size_t>(node)].leaf) {
-        const auto &n = nodes[static_cast<std::size_t>(node)];
-        node = x[featureOf(n.feature)] <= n.threshold ? n.left : n.right;
-    }
-    const bool d0 =
-        nodes[static_cast<std::size_t>(node)].value >= threshold;
+    // The concrete decision at x.
+    const bool d0 = ml::treeLeaf(nodes, x.data()) >= threshold;
 
     // DFS over all leaves, carrying the path's box constraints:
     // lower[f] < x_f <= upper[f] (left edges are closed, right edges
@@ -98,7 +86,7 @@ treeOppositeLeafDistance(const std::vector<ml::DecisionTree::Node> &nodes,
             best = std::min(best, dist);
             return;
         }
-        const std::size_t f = featureOf(n.feature);
+        const std::size_t f = n.feature;
         const double saved_upper = upper[f];
         const double saved_lower = lower[f];
         // Left: x_f <= threshold.
@@ -121,7 +109,6 @@ treeOppositeLeafDistance(const std::vector<ml::DecisionTree::Node> &nodes,
  */
 Interval
 treeLeafBounds(const std::vector<ml::DecisionTree::Node> &nodes,
-               const std::vector<std::size_t> *sel,
                const std::vector<double> &x, double r)
 {
     Interval out{kInf, -kInf};
@@ -132,11 +119,9 @@ treeLeafBounds(const std::vector<ml::DecisionTree::Node> &nodes,
             out.hi = std::max(out.hi, n.value);
             return;
         }
-        const std::size_t f =
-            sel != nullptr ? (*sel)[n.feature] : n.feature;
-        if (x[f] - r <= n.threshold)
+        if (x[n.feature] - r <= n.threshold)
             self(self, n.left);
-        if (x[f] + r > n.threshold)
+        if (x[n.feature] + r > n.threshold)
             self(self, n.right);
     };
     walk(walk, 0);
@@ -206,7 +191,6 @@ forestStabilityRadius(const ml::RandomForest &forest, double threshold,
                       const std::vector<double> &x)
 {
     const auto &trees = forest.trees();
-    const auto &sels = forest.featureSelections();
     panic_if(trees.empty(), "certifier walked an untrained forest");
     const double inv = 1.0 / static_cast<double>(trees.size());
 
@@ -214,8 +198,7 @@ forestStabilityRadius(const ml::RandomForest &forest, double threshold,
         double lo = 0.0;
         double hi = 0.0;
         for (std::size_t t = 0; t < trees.size(); ++t) {
-            const Interval bounds =
-                treeLeafBounds(trees[t].nodes(), &sels[t], x, r);
+            const Interval bounds = treeLeafBounds(trees[t].nodes(), x, r);
             lo += bounds.lo;
             hi += bounds.hi;
         }
@@ -303,8 +286,8 @@ stabilityRadius(const ml::Classifier &clf, double threshold,
         return mlpStabilityRadius(*mlp, threshold, x);
     if (const auto *tree =
             dynamic_cast<const ml::DecisionTree *>(&clf)) {
-        const double dist = treeOppositeLeafDistance(
-            tree->nodes(), threshold, nullptr, x);
+        const double dist =
+            treeOppositeLeafDistance(tree->nodes(), threshold, x);
         return std::isinf(dist) ? kUnboundedRadius
                                 : dist * kFloatSafety;
     }
@@ -334,9 +317,15 @@ checkFinite(const std::vector<double> &v, std::size_t detector,
     return true;
 }
 
+/**
+ * Structure of one grown tree. A split reading a feature at or past
+ * @p expectDim (when nonzero) is a shape mismatch: the tree would
+ * read past the end of every feature row.
+ */
 bool
 checkTree(const std::vector<ml::DecisionTree::Node> &nodes,
-          std::size_t detector, std::size_t tree, Report &report)
+          std::size_t expectDim, std::size_t detector, std::size_t tree,
+          Report &report)
 {
     if (nodes.empty()) {
         report.error("certify", "degenerate-tree", detector, tree,
@@ -366,6 +355,14 @@ checkTree(const std::vector<ml::DecisionTree::Node> &nodes,
             n.right >= size) {
             report.error("certify", "degenerate-tree", detector, tree,
                          i, "child index out of range");
+            ok = false;
+        }
+        if (expectDim != 0 && n.feature >= expectDim) {
+            report.error("certify", "standardizer-dim-mismatch",
+                         detector, tree, i,
+                         "split feature " + std::to_string(n.feature) +
+                             " vs feature dim " +
+                             std::to_string(expectDim));
             ok = false;
         }
     }
@@ -441,29 +438,12 @@ auditModel(const ml::Classifier &clf,
             checkLinearDim(mlp->hiddenWeights().front().size());
     } else if (const auto *tree =
                    dynamic_cast<const ml::DecisionTree *>(&clf)) {
-        checkTree(tree->nodes(), detector, kNoIndex, report);
+        checkTree(tree->nodes(), expectDim, detector, kNoIndex, report);
     } else if (const auto *forest =
                    dynamic_cast<const ml::RandomForest *>(&clf)) {
-        const auto &sels = forest->featureSelections();
-        if (sels.size() != forest->trees().size()) {
-            report.error("certify", "degenerate-tree", detector,
-                         kNoIndex, kNoIndex,
-                         "forest feature selections do not match tree "
-                         "count");
-        }
         for (std::size_t t = 0; t < forest->trees().size(); ++t) {
-            checkTree(forest->trees()[t].nodes(), detector, t, report);
-            if (expectDim == 0 || t >= sels.size())
-                continue;
-            for (std::size_t f : sels[t]) {
-                if (f >= expectDim) {
-                    report.error("certify", "standardizer-dim-mismatch",
-                                 detector, t, kNoIndex,
-                                 "forest feature selection index out of "
-                                 "range");
-                    break;
-                }
-            }
+            checkTree(forest->trees()[t].nodes(), expectDim, detector, t,
+                      report);
         }
     } else {
         report.error("certify", "non-finite-weight", detector, kNoIndex,

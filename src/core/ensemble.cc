@@ -35,7 +35,7 @@ EnsembleHmd::decide(const features::ProgramFeatures &prog)
         const std::vector<double> scores =
             det->scoreWindows(epochWindows(prog, epoch_, *det));
         for (std::size_t e = 0; e < scores.size(); ++e)
-            votes[e] += scores[e] >= det->threshold() ? 1 : 0;
+            votes[e] += det->decision(scores[e]);
     }
     std::vector<int> decisions;
     decisions.reserve(votes.size());

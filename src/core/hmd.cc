@@ -183,7 +183,7 @@ Hmd::windowScore(const features::RawWindow &window) const
 int
 Hmd::windowDecision(const features::RawWindow &window) const
 {
-    return windowScore(window) >= threshold_ ? 1 : 0;
+    return decision(windowScore(window));
 }
 
 std::uint32_t
@@ -200,7 +200,7 @@ Hmd::decide(const features::ProgramFeatures &prog)
     std::vector<int> decisions;
     decisions.reserve(scores.size());
     for (double score : scores)
-        decisions.push_back(score >= threshold_ ? 1 : 0);
+        decisions.push_back(decision(score));
     return decisions;
 }
 

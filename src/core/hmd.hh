@@ -112,6 +112,12 @@ class Hmd : public Detector
     int windowDecision(const features::RawWindow &window) const;
 
     /**
+     * The window decision rule: 1 (malware) when @p score reaches the
+     * operating threshold, else 0.
+     */
+    int decision(double score) const { return score >= threshold_ ? 1 : 0; }
+
+    /**
      * Standardized feature matrix of a batch of windows, one row per
      * window, built without per-row allocation. Row values are
      * bit-identical to featureVector().

@@ -47,7 +47,7 @@ computePac(const Rhmd &pool, const features::FeatureCorpus &corpus,
             rows.insert(rows.end(), windows.begin(), windows.end());
         }
         for (double score : det.scoreWindows(rows))
-            decisions[i].push_back(score >= det.threshold() ? 1 : 0);
+            decisions[i].push_back(det.decision(score));
     }
 
     std::vector<std::vector<double>> disagree_counts(

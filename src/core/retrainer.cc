@@ -58,8 +58,7 @@ windowAccuracy(const Hmd &detector,
     const std::vector<double> scores = detector.scoreWindows(windows);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < windows.size(); ++i) {
-        const int decision = scores[i] >= detector.threshold() ? 1 : 0;
-        correct += decision == labels[i] ? 1 : 0;
+        correct += detector.decision(scores[i]) == labels[i] ? 1 : 0;
     }
     return static_cast<double>(correct) /
            static_cast<double>(windows.size());

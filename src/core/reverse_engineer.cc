@@ -198,8 +198,7 @@ proxyAgreementOnTranscript(const VictimTranscript &transcript,
             const std::vector<double> scores = proxy.scoreWindows(rows);
             Counts c;
             for (std::size_t i = 0; i < rows.size(); ++i) {
-                const int predicted =
-                    scores[i] >= proxy.threshold() ? 1 : 0;
+                const int predicted = proxy.decision(scores[i]);
                 c.agree += predicted == victim_decisions[i] ? 1 : 0;
                 ++c.total;
             }

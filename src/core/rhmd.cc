@@ -228,11 +228,9 @@ EpochPlan::decide(std::vector<std::vector<int>> &decisions) const
 {
     score([&](std::size_t d, const std::vector<Slot> &slots,
               const std::vector<double> &scores) {
-        const double threshold = (*detectors_)[d]->threshold();
-        for (std::size_t i = 0; i < scores.size(); ++i) {
-            decisions[slots[i].prog][slots[i].epoch] =
-                scores[i] >= threshold ? 1 : 0;
-        }
+        const Hmd &det = *(*detectors_)[d];
+        for (std::size_t i = 0; i < scores.size(); ++i)
+            decisions[slots[i].prog][slots[i].epoch] = det.decision(scores[i]);
     });
 }
 

@@ -126,41 +126,19 @@ DecisionTree::train(const Dataset &data, Rng &rng)
     for (std::size_t i = 0; i < data.size(); ++i)
         indices[i] = i;
     build(data, indices, 0);
-    flat_ = flattenTree(nodes_, nullptr);
 }
 
-FlatTree
-flattenTree(const std::vector<DecisionTree::Node> &nodes,
-            const std::vector<std::size_t> *map)
+void
+DecisionTree::remapFeatures(const std::vector<std::size_t> &map)
 {
-    FlatTree out;
-    out.feature.reserve(nodes.size());
-    out.threshold.reserve(nodes.size());
-    out.left.reserve(nodes.size());
-    out.right.reserve(nodes.size());
-    out.value.reserve(nodes.size());
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        const DecisionTree::Node &node = nodes[n];
-        if (node.leaf) {
-            out.feature.push_back(-1);
-            out.threshold.push_back(0.0);
-            out.left.push_back(static_cast<std::int64_t>(n));
-            out.right.push_back(static_cast<std::int64_t>(n));
-        } else {
-            panic_if(map != nullptr && node.feature >= map->size(),
-                     "tree split feature ", node.feature,
-                     " outside its feature selection (", map->size(),
-                     " entries)");
-            const std::size_t f =
-                map == nullptr ? node.feature : (*map)[node.feature];
-            out.feature.push_back(static_cast<std::int64_t>(f));
-            out.threshold.push_back(node.threshold);
-            out.left.push_back(node.left);
-            out.right.push_back(node.right);
-        }
-        out.value.push_back(node.value);
+    for (Node &node : nodes_) {
+        if (node.leaf)
+            continue;
+        panic_if(node.feature >= map.size(), "tree split feature ",
+                 node.feature, " outside its feature map (", map.size(),
+                 " entries)");
+        node.feature = map[node.feature];
     }
-    return out;
 }
 
 std::vector<double>
@@ -169,7 +147,7 @@ DecisionTree::scoreBatch(const features::FeatureMatrix &x) const
     panic_if(nodes_.empty(), "DT scored before training");
     std::vector<double> out(x.rows());
     for (std::size_t r = 0; r < x.rows(); ++r)
-        out[r] = treeLeaf(flat_, x.row(r));
+        out[r] = treeLeaf(nodes_, x.row(r));
     return out;
 }
 

@@ -8,7 +8,6 @@
 #define RHMD_ML_DECISION_TREE_HH
 
 #include "ml/classifier.hh"
-#include "ml/flat_tree.hh"
 
 namespace rhmd::ml
 {
@@ -56,8 +55,19 @@ class DecisionTree : public Classifier
     /** Depth of the grown tree. */
     std::size_t depth() const;
 
-    /** The grown node array (root at index 0; empty before train). */
+    /**
+     * The grown node array (root at index 0; empty before train):
+     * the one layout ml::treeLeaf scores and the certifier walks.
+     */
     const std::vector<Node> &nodes() const { return nodes_; }
+
+    /**
+     * Rewrite every split's feature index f as map[f]. The random
+     * forest passes each tree's feature selection, so its trees read
+     * full-width rows. Thresholds, structure and leaf values are
+     * untouched.
+     */
+    void remapFeatures(const std::vector<std::size_t> &map);
 
   private:
     std::int32_t build(const Dataset &data,
@@ -66,20 +76,7 @@ class DecisionTree : public Classifier
 
     TreeConfig config_;
     std::vector<Node> nodes_;
-    FlatTree flat_;
 };
-
-/**
- * Flatten a grown node array into the flat layout. @p map, when
- * non-null, rewrites each split's feature index through
- * (*map)[feature] — the random forest uses its per-tree feature
- * selection here so the tree walk reads full-width rows directly
- * instead of copying a projected row per (row, tree) pair.
- * Thresholds, structure, and leaf values are untouched, so the
- * flattened walk reaches exactly the leaves the Node walk reaches.
- */
-FlatTree flattenTree(const std::vector<DecisionTree::Node> &nodes,
-                     const std::vector<std::size_t> *map);
 
 } // namespace rhmd::ml
 

@@ -27,16 +27,16 @@ linearMargin(const features::FeatureMatrix &x, const double *w,
 }
 
 double
-treeLeaf(const FlatTree &tree, const double *row)
+treeLeaf(const std::vector<DecisionTree::Node> &nodes, const double *row)
 {
-    std::size_t node = 0;
-    while (tree.feature[node] >= 0) {
-        const auto f = static_cast<std::size_t>(tree.feature[node]);
-        node = row[f] <= tree.threshold[node]
-            ? static_cast<std::size_t>(tree.left[node])
-            : static_cast<std::size_t>(tree.right[node]);
+    std::size_t n = 0;
+    while (!nodes[n].leaf) {
+        const DecisionTree::Node &node = nodes[n];
+        n = static_cast<std::size_t>(row[node.feature] <= node.threshold
+                                         ? node.left
+                                         : node.right);
     }
-    return tree.value[node];
+    return nodes[n].value;
 }
 
 } // namespace rhmd::ml

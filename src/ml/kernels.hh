@@ -3,7 +3,7 @@
  * Scoring kernels shared by more than one classifier family.
  *
  * linearMargin is the affine sweep behind LR, SVM and the MLP hidden
- * units; treeLeaf is the flat-tree walk behind DT and RF. A row's
+ * units; treeLeaf is the node walk behind DT and RF. A row's
  * arithmetic never depends on the other rows of its batch, so a
  * window scores the same alone as in any batch (DESIGN.md section
  * 14).
@@ -13,7 +13,7 @@
 #define RHMD_ML_KERNELS_HH
 
 #include "features/matrix.hh"
-#include "ml/flat_tree.hh"
+#include "ml/decision_tree.hh"
 
 namespace rhmd::ml
 {
@@ -27,10 +27,11 @@ void linearMargin(const features::FeatureMatrix &x, const double *w,
                   double bias, double *out);
 
 /**
- * The leaf value @p row reaches in @p tree. A split sends the row
- * left when `row[f] <= t`, so a NaN feature goes right.
+ * The leaf value @p row reaches in the grown tree @p nodes. A split
+ * sends the row left when `row[f] <= t`, so a NaN feature goes right.
  */
-double treeLeaf(const FlatTree &tree, const double *row);
+double treeLeaf(const std::vector<DecisionTree::Node> &nodes,
+                const double *row);
 
 } // namespace rhmd::ml
 

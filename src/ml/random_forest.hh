@@ -46,30 +46,16 @@ class RandomForest : public Classifier
     /** Number of trained trees. */
     std::size_t treeCount() const { return trees_.size(); }
 
-    /** The trained trees (for static analyses over the forest). */
-    const std::vector<DecisionTree> &trees() const { return trees_; }
-
     /**
-     * Feature indices tree @p t was trained on: tree t's input j is
-     * the full feature vector's featureSelections()[t][j].
+     * The trained trees (for static analyses over the forest). Their
+     * splits index full-width feature rows: training rewrote each
+     * tree's features through the subset the tree was grown on.
      */
-    const std::vector<std::vector<std::size_t>> &
-    featureSelections() const
-    {
-        return featureSel_;
-    }
+    const std::vector<DecisionTree> &trees() const { return trees_; }
 
   private:
     ForestConfig config_;
     std::vector<DecisionTree> trees_;
-    /** Per-tree selected feature indices. */
-    std::vector<std::vector<std::size_t>> featureSel_;
-    /**
-     * Trees in flat layout with splits remapped through featureSel_,
-     * so the tree walk reads full-width feature rows directly (no
-     * per-(row, tree) projection copies).
-     */
-    std::vector<FlatTree> flat_;
 };
 
 } // namespace rhmd::ml

@@ -5,6 +5,8 @@
 
 #include "runtime/health.hh"
 
+#include <utility>
+
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
@@ -15,16 +17,22 @@ namespace
 {
 
 /**
- * Process-wide count of health transitions by kind. The monitor's
- * own event log is per-instance and unbounded; these four counters
- * are what a deployment watches. Driven by seeded fault streams, so
- * Deterministic.
+ * Process-wide detector failure count. With the transition counters
+ * below, what a deployment watches; driven by seeded fault streams,
+ * so Deterministic.
  */
 void
-countHealthEvent(HealthEvent::Kind kind)
+countFailure()
 {
     static support::Counter &failures = support::metrics().counter(
         "health.failures", "detector failures recorded");
+    failures.add(1);
+}
+
+/** Process-wide count of health transitions by kind. */
+void
+countHealthEvent(HealthEvent::Kind kind)
+{
     static support::Counter &quarantines = support::metrics().counter(
         "health.quarantines", "detectors sent to quarantine");
     static support::Counter &probations = support::metrics().counter(
@@ -32,7 +40,6 @@ countHealthEvent(HealthEvent::Kind kind)
     static support::Counter &recoveries = support::metrics().counter(
         "health.recoveries", "detectors recovered from probation");
     switch (kind) {
-      case HealthEvent::Kind::Failure: failures.add(1); return;
       case HealthEvent::Kind::Quarantine: quarantines.add(1); return;
       case HealthEvent::Kind::Probation: probations.add(1); return;
       case HealthEvent::Kind::Recovery: recoveries.add(1); return;
@@ -65,7 +72,6 @@ std::string_view
 healthEventName(HealthEvent::Kind kind)
 {
     switch (kind) {
-      case HealthEvent::Kind::Failure: return "failure";
       case HealthEvent::Kind::Quarantine: return "quarantine";
       case HealthEvent::Kind::Probation: return "probation";
       case HealthEvent::Kind::Recovery: return "recovery";
@@ -117,36 +123,34 @@ HealthMonitor::recordSuccess(std::size_t detector)
 }
 
 void
-HealthMonitor::quarantine(std::size_t detector, const std::string &why)
+HealthMonitor::quarantine(std::size_t detector, std::string why)
 {
     DetectorState &state = states_[detector];
     state.health = DetectorHealth::Quarantined;
     state.quarantinedAt = epoch_;
     state.probationStreak = 0;
     events_.push_back({epoch_, detector, HealthEvent::Kind::Quarantine,
-                       why});
+                       std::move(why)});
     countHealthEvent(HealthEvent::Kind::Quarantine);
 }
 
 void
-HealthMonitor::recordFailure(std::size_t detector,
-                             const std::string &why)
+HealthMonitor::recordFailure(std::size_t detector, std::string_view why)
 {
     DetectorState &state = states_.at(detector);
     ++state.totalFailures;
     ++state.consecutiveFailures;
     state.probationStreak = 0;
-    events_.push_back({epoch_, detector, HealthEvent::Kind::Failure,
-                       why});
-    countHealthEvent(HealthEvent::Kind::Failure);
+    countFailure();
     if (state.health == DetectorHealth::Probation) {
         // One strike on probation: straight back to quarantine.
-        quarantine(detector, "failed during probation: " + why);
+        quarantine(detector,
+                   std::string("failed during probation: ").append(why));
         return;
     }
     if (state.health == DetectorHealth::Healthy &&
         state.consecutiveFailures >= config_.failureThreshold) {
-        quarantine(detector, why);
+        quarantine(detector, std::string(why));
     }
 }
 

@@ -72,12 +72,11 @@ constexpr std::size_t kMaxFailoverAttempts = 64;
 std::size_t failoverBudget(std::size_t pool_size,
                            std::size_t failure_threshold);
 
-/** One entry of the structured degradation event log. */
+/** One health transition in the structured degradation event log. */
 struct HealthEvent
 {
     enum class Kind : std::uint8_t
     {
-        Failure,
         Quarantine,
         Probation,
         Recovery,
@@ -85,7 +84,7 @@ struct HealthEvent
 
     std::uint64_t epoch = 0;
     std::size_t detector = 0;
-    Kind kind = Kind::Failure;
+    Kind kind = Kind::Quarantine;
     std::string detail;
 };
 
@@ -109,8 +108,11 @@ class HealthMonitor
     /** Report a valid score from @p detector. */
     void recordSuccess(std::size_t detector);
 
-    /** Report a failed score (NaN, out of range, exception). */
-    void recordFailure(std::size_t detector, const std::string &why);
+    /**
+     * Report a failed score (NaN, out of range, exception). @p why is
+     * copied only when the failure quarantines the detector.
+     */
+    void recordFailure(std::size_t detector, std::string_view why);
 
     DetectorHealth health(std::size_t detector) const;
 
@@ -131,7 +133,12 @@ class HealthMonitor
     support::StatusOr<std::vector<double>>
     effectivePolicy(const std::vector<double> &base) const;
 
-    /** Structured event log, in occurrence order. */
+    /**
+     * Structured log of health transitions (quarantine, probation,
+     * recovery), in occurrence order. Failures that change no state
+     * are counted (failureCount) but not logged, so the log grows
+     * with transitions, not with traffic.
+     */
     const std::vector<HealthEvent> &events() const { return events_; }
 
     /** Lifetime failure count of one detector. */
@@ -149,7 +156,7 @@ class HealthMonitor
         std::uint64_t quarantinedAt = 0;
     };
 
-    void quarantine(std::size_t detector, const std::string &why);
+    void quarantine(std::size_t detector, std::string why);
 
     HealthConfig config_;
     std::vector<DetectorState> states_;

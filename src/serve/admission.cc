@@ -136,6 +136,8 @@ CircuitBreaker::open(double now)
 bool
 CircuitBreaker::allow(double now)
 {
+    if (!config_.enabled)
+        return true;
     const std::lock_guard<std::mutex> lock(mutex_);
     switch (state_) {
       case State::Closed:
@@ -160,6 +162,8 @@ void
 CircuitBreaker::recordSuccess(double now)
 {
     (void)now;
+    if (!config_.enabled)
+        return;
     const std::lock_guard<std::mutex> lock(mutex_);
     switch (state_) {
       case State::Closed:
@@ -183,6 +187,8 @@ CircuitBreaker::recordSuccess(double now)
 void
 CircuitBreaker::recordFailure(double now)
 {
+    if (!config_.enabled)
+        return;
     const std::lock_guard<std::mutex> lock(mutex_);
     switch (state_) {
       case State::Closed:

@@ -161,7 +161,8 @@ struct BreakerConfig
  * Closed → (failure burst) → Open → (cool-down) → HalfOpen →
  * (probes pass) → Closed, or (probe fails) → Open with a longer
  * cool-down. Thread-safe; all transitions happen inside allow()/
- * record*() under one mutex.
+ * record*() under one mutex. A disabled breaker allows everything
+ * and records nothing, without taking the mutex.
  */
 class CircuitBreaker
 {

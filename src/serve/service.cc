@@ -195,7 +195,7 @@ DetectionService::submit(const features::ProgramFeatures &prog,
         return future;
     }
     const double now_s = nowSeconds();
-    if (config_.breaker.enabled && !breaker_.allow(now_s)) {
+    if (!breaker_.allow(now_s)) {
         counters.shedCircuitOpen.add(1);
         req.promise.set_value(support::unavailableError(
             "detection service circuit breaker ",
@@ -211,7 +211,6 @@ DetectionService::submit(const features::ProgramFeatures &prog,
             req.promise.set_value(std::move(admitted));
             return future;
         }
-        req.admitted = true;
     }
 
     // A full queue first reclaims dead capacity: requests whose wait
@@ -231,11 +230,10 @@ DetectionService::submit(const features::ProgramFeatures &prog,
             },
             evicted, &depth);
         for (Request &dead : evicted) {
-            if (dead.admitted)
+            if (config_.admission.enabled)
                 admission_.release(dead.tenant);
             counters.shedDeadlineSubmit.add(1);
-            if (config_.breaker.enabled)
-                breaker_.recordFailure(now_s);
+            breaker_.recordFailure(now_s);
             dead.promise.set_value(support::unavailableError(
                 "request shed: queue wait exceeded the ",
                 config_.deadlineSeconds, "s deadline"));
@@ -247,7 +245,7 @@ DetectionService::submit(const features::ProgramFeatures &prog,
         // A failed push never moves from its argument, so the
         // promise is still ours to fulfill — and the admission charge
         // is ours to return.
-        if (req.admitted)
+        if (config_.admission.enabled)
             admission_.release(tenant);
         if (queue_.closed()) {
             // stop() raced ahead of the stopped_ check above: this is
@@ -259,8 +257,7 @@ DetectionService::submit(const features::ProgramFeatures &prog,
             return future;
         }
         counters.shedQueueFull.add(1);
-        if (config_.breaker.enabled)
-            breaker_.recordFailure(now_s);
+        breaker_.recordFailure(now_s);
         req.promise.set_value(support::unavailableError(
             "detection service overloaded (queue of ",
             queue_.capacity(), " full); retry later"));
@@ -369,11 +366,10 @@ DetectionService::shedExpired(std::vector<Request> &batch)
         Request &req = batch[i];
         const double waited = secondsBetween(req.enqueued, now);
         if (waited > config_.deadlineSeconds) {
-            if (req.admitted)
+            if (config_.admission.enabled)
                 admission_.release(req.tenant);
             counters.shedDeadline.add(1);
-            if (config_.breaker.enabled)
-                breaker_.recordFailure(now_s);
+            breaker_.recordFailure(now_s);
             req.promise.set_value(support::unavailableError(
                 "request shed after queueing ", waited, "s (deadline ",
                 config_.deadlineSeconds, "s)"));
@@ -399,10 +395,8 @@ DetectionService::processBatch(std::vector<Request> &batch,
     // real queue occupancy. (Expired requests already returned theirs
     // in shedExpired; the batch here is live work only.)
     if (config_.admission.enabled) {
-        for (const Request &req : batch) {
-            if (req.admitted)
-                admission_.release(req.tenant);
-        }
+        for (const Request &req : batch)
+            admission_.release(req.tenant);
     }
 
     // Pool snapshot: the RCU epoch of this batch. Everything below
@@ -460,8 +454,7 @@ DetectionService::processBatch(std::vector<Request> &batch,
                 continue;
             }
             counters.failClosed.add(1);
-            if (config_.breaker.enabled)
-                breaker_.recordFailure(now_s);
+            breaker_.recordFailure(now_s);
             req->promise.set_value(effective.status());
         }
         return;
@@ -503,7 +496,7 @@ DetectionService::processBatch(std::vector<Request> &batch,
     plan.score([&](std::size_t d,
                    const std::vector<core::EpochPlan::Slot> &slots,
                    const std::vector<double> &scores) {
-        const double threshold = pool.detectors()[d]->threshold();
+        const core::Hmd &det = *pool.detectors()[d];
         std::size_t valid = 0;
         for (std::size_t i = 0; i < scores.size(); ++i) {
             const core::EpochPlan::Slot &slot = slots[i];
@@ -516,16 +509,14 @@ DetectionService::processBatch(std::vector<Request> &batch,
             }
             ++valid;
             decided[offsets[slot.prog] + slot.epoch] =
-                scores[i] >= threshold ? 1 : 0;
-            marginSum[slot.prog] += std::abs(scores[i] - threshold);
+                det.decision(scores[i]);
+            marginSum[slot.prog] += std::abs(scores[i] - det.threshold());
         }
         const std::lock_guard<std::mutex> lock(state->healthMutex);
         for (std::size_t i = 0; i < valid; ++i)
             state->health.recordSuccess(d);
         for (std::size_t i = valid; i < scores.size(); ++i)
-            state->health.recordFailure(
-                d, rhmd::detail::concat("invalid score at epoch ",
-                                        state->health.epoch()));
+            state->health.recordFailure(d, "invalid score");
     });
 
     // Phase 3 — failover: redraw each failed slot from its own
@@ -561,15 +552,12 @@ DetectionService::processBatch(std::vector<Request> &batch,
             if (faulted) {
                 ++failures[f.prog];
                 counters.detectorFailures.add(1);
-                state->health.recordFailure(
-                    pick,
-                    rhmd::detail::concat("invalid failover score ",
-                                         score));
+                state->health.recordFailure(pick,
+                                            "invalid failover score");
                 continue;
             }
             state->health.recordSuccess(pick);
-            decided[offsets[f.prog] + f.epoch] =
-                score >= det.threshold() ? 1 : 0;
+            decided[offsets[f.prog] + f.epoch] = det.decision(score);
             marginSum[f.prog] += std::abs(score - det.threshold());
             break;
         }
@@ -605,8 +593,7 @@ DetectionService::processBatch(std::vector<Request> &batch,
         }
         report.classified = report.decisions.size();
         if (report.decisions.empty()) {
-            if (config_.breaker.enabled)
-                breaker_.recordFailure(now_s);
+            breaker_.recordFailure(now_s);
             answers.emplace_back(support::unavailableError(
                 "no epoch of '", live[r]->prog->name,
                 "' could be classified (", report.epochs, " epochs, ",
@@ -619,8 +606,7 @@ DetectionService::processBatch(std::vector<Request> &batch,
         counters.responses.add(1);
         if (report.programDecision == 1)
             counters.malwareFlagged.add(1);
-        if (config_.breaker.enabled)
-            breaker_.recordSuccess(now_s);
+        breaker_.recordSuccess(now_s);
         if (shadow != nullptr)
             shadowScore(*live[r]->prog, live[r]->key,
                         report.programDecision, *shadow);
@@ -655,12 +641,12 @@ DetectionService::shadowScore(const features::ProgramFeatures &prog,
     plan.score([&](std::size_t d,
                    const std::vector<core::EpochPlan::Slot> &,
                    const std::vector<double> &scores) {
-        const double threshold = candidate.detectors()[d]->threshold();
+        const core::Hmd &det = *candidate.detectors()[d];
         for (const double score : scores) {
             if (!validScore(score))
                 continue;
             ++classified;
-            malware_votes += score >= threshold ? 1 : 0;
+            malware_votes += det.decision(score);
         }
     });
     const int shadow_decision = core::majorityVote(malware_votes, classified);

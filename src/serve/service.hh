@@ -345,7 +345,6 @@ class DetectionService
         const features::ProgramFeatures *prog = nullptr;
         std::uint64_t key = 0;
         std::uint64_t tenant = 0;
-        bool admitted = false; ///< charged to admission control
         std::chrono::steady_clock::time_point enqueued;
         std::promise<support::StatusOr<ServeReport>> promise;
     };

@@ -7,12 +7,9 @@
 
 #include <pthread.h>
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <utility>
 
 #include "support/logging.hh"
 #include "support/metrics.hh"
@@ -23,51 +20,37 @@ namespace rhmd::support
 namespace
 {
 
-// Pool metrics are Timing-domain: task counts and queue depths depend
-// on the worker count and the scheduler (serial mode runs tasks
-// inline and submits none), so they are exposition-only and never
-// part of the determinism comparison.
+// Pool metrics are Timing-domain: a serial pool runs its loops
+// inline and counts none, so they are exposition-only and never part
+// of the determinism comparison.
 
 Counter &
-poolTaskCounter()
+poolLoopCounter()
 {
     static Counter &c = metrics().counter(
-        "pool.tasks", "claiming tasks executed by the thread pool",
+        "pool.loops", "index loops run on the pool's workers",
         MetricDomain::Timing);
     return c;
 }
 
-Gauge &
-poolQueuePeakGauge()
-{
-    static Gauge &g = metrics().gauge(
-        "pool.queue_peak", "peak task-queue depth observed",
-        MetricDomain::Timing);
-    return g;
-}
-
 Histogram &
-poolTaskSecondsHistogram()
+poolLoopSecondsHistogram()
 {
     static Histogram &h = metrics().histogram(
-        "pool.task_seconds", "per-task wall time",
+        "pool.loop_seconds", "per-loop wall time on the workers",
         {0.0001, 0.001, 0.01, 0.1, 1.0, 10.0}, MetricDomain::Timing);
     return h;
 }
 
-/** Run @p task, stamping the pool's per-task metrics. */
-void
-runInstrumented(const std::function<void()> &task)
-{
-    const auto start = std::chrono::steady_clock::now();
-    task();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    poolTaskCounter().add(1);
-    poolTaskSecondsHistogram().observe(seconds);
-}
+/**
+ * Set while the current thread is executing a parallel loop body.
+ * A nested loop started from inside a body runs inline and serially:
+ * the outer loop already owns the workers (waiting on them from a
+ * worker would deadlock), and inline execution keeps the nested
+ * iteration order — and therefore the results — identical to a
+ * fully serial run.
+ */
+thread_local bool tlsInParallelBody = false;
 
 } // namespace
 
@@ -93,94 +76,90 @@ resolveThreadCount(std::size_t requested)
 }
 
 ThreadPool::ThreadPool(std::size_t threads)
-    : threads_(resolveThreadCount(threads)), capacity_(threads_ * 4)
+    : threads_(resolveThreadCount(threads))
 {
     if (serial())
         return;
+    // Start-up counts as a loop every worker must finish: a thread
+    // still starting (where a sanitizer runtime allocates and frees)
+    // must not be inside the allocator when the caller forks.
+    running_ = threads_;
     workers_.reserve(threads_);
     for (std::size_t t = 0; t < threads_; ++t)
         workers_.emplace_back([this] { workerLoop(); });
+    std::unique_lock<std::mutex> lock(mutex_);
+    parked_.wait(lock, [this] { return running_ == 0; });
 }
 
 ThreadPool::~ThreadPool()
 {
     if (serial())
         return;
-    wait();
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
     }
-    taskReady_.notify_all();
+    wake_.notify_all();
     for (std::thread &worker : workers_)
         worker.join();
 }
 
 void
-ThreadPool::submit(std::function<void()> task)
+ThreadPool::run(std::size_t n, const void *body, Invoke invoke)
 {
-    panic_if(task == nullptr, "ThreadPool::submit of an empty task");
-    if (serial()) {
-        runInstrumented(task);
+    if (tlsInParallelBody || serial() || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            invoke(body, i);
         return;
     }
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        spaceReady_.wait(
-            lock, [this] { return queue_.size() < capacity_; });
-        queue_.push_back(std::move(task));
-        poolQueuePeakGauge().updateMax(
-            static_cast<double>(queue_.size()));
-    }
-    taskReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    if (serial())
-        return;
+    const std::lock_guard<std::mutex> turn(loopMutex_);
+    const auto start = std::chrono::steady_clock::now();
     std::unique_lock<std::mutex> lock(mutex_);
-    allIdle_.wait(lock, [this] { return idle(); });
+    n_ = n;
+    body_ = body;
+    invoke_ = invoke;
+    next_.store(0, std::memory_order_relaxed);
+    running_ = threads_;
+    ++loop_;
+    wake_.notify_all();
+    parked_.wait(lock, [this] { return running_ == 0; });
+    lock.unlock();
+    poolLoopCounter().add(1);
+    poolLoopSecondsHistogram().observe(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count());
 }
 
 void
 ThreadPool::workerLoop()
 {
-    // wait() counts a worker as busy until it gets here: a thread
-    // still in its start-up (the sanitizer runtime's allocates and
-    // frees) must not be inside the allocator when the caller forks.
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++started_;
-        if (idle())
-            allIdle_.notify_all();
-    }
+    // A worker only ever runs loop bodies.
+    tlsInParallelBody = true;
+    std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            taskReady_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (stopping_ && queue_.empty())
-                return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
-            ++active_;
+        // Park: the loop (or the start-up) this worker was in is done.
+        if (--running_ == 0)
+            parked_.notify_all();
+        wake_.wait(lock, [&] { return stopping_ || loop_ != seen; });
+        if (stopping_)
+            return;
+        seen = loop_;
+        const std::size_t n = n_;
+        const void *body = body_;
+        const Invoke invoke = invoke_;
+        lock.unlock();
+        // Claim indices until none is left. No work stealing: which
+        // index a worker gets never depends on what the others do.
+        for (;;) {
+            const std::size_t i =
+                next_.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n)
+                break;
+            invoke(body, i);
         }
-        spaceReady_.notify_one();
-        runInstrumented(task);
-        // Free the closure before reporting idle: wait() must not
-        // return while a worker is still inside the allocator, or a
-        // fork() right after it leaves the child holding its lock.
-        task = nullptr;
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            --active_;
-            if (idle())
-                allIdle_.notify_all();
-        }
+        lock.lock();
     }
 }
 
@@ -256,59 +235,5 @@ globalThreads()
     const auto &slot = globalPoolSlot();
     return slot == nullptr ? resolveThreadCount(0) : slot->threads();
 }
-
-namespace detail
-{
-
-namespace
-{
-
-/**
- * Set while the current thread is executing a parallel loop body.
- * A nested loop started from inside a body runs inline and serially:
- * the outer loop already owns the workers (waiting on them from a
- * worker would deadlock), and inline execution keeps the nested
- * iteration order — and therefore the results — identical to a
- * fully serial run.
- */
-thread_local bool tlsInParallelBody = false;
-
-} // namespace
-
-void
-parallelForIndex(ThreadPool &pool, std::size_t n,
-                 const std::function<void(std::size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (tlsInParallelBody || pool.serial() || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
-    // One claiming task per worker: each repeatedly takes the next
-    // unclaimed index. No per-index closure allocation, no work
-    // stealing, and the index a task gets never depends on what the
-    // other workers are doing.
-    std::atomic<std::size_t> next{0};
-    const std::size_t tasks = std::min(pool.threads(), n);
-    for (std::size_t t = 0; t < tasks; ++t) {
-        pool.submit([&body, &next, n] {
-            tlsInParallelBody = true;
-            for (;;) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    break;
-                body(i);
-            }
-            tlsInParallelBody = false;
-        });
-    }
-    pool.wait();
-}
-
-} // namespace detail
 
 } // namespace rhmd::support

@@ -7,9 +7,9 @@
  * reproducible: an N-thread run has to be bit-identical to the
  * 1-thread run. This layer provides the pieces that make that hold:
  *
- *  - ThreadPool: a fixed set of workers fed from a bounded task
- *    queue. No work stealing — tasks are claimed from a shared
- *    index counter, so scheduling order never influences results.
+ *  - ThreadPool: a fixed team of workers that runs one index loop at
+ *    a time (fork-join). No work stealing — indices are claimed from
+ *    a shared counter, so scheduling order never influences results.
  *    With one thread (or hardware_concurrency() == 0, or
  *    RHMD_THREADS=1) the pool degrades to inline serial execution,
  *    which keeps sanitizer and valgrind runs debuggable.
@@ -32,12 +32,13 @@
 #ifndef RHMD_SUPPORT_PARALLEL_HH
 #define RHMD_SUPPORT_PARALLEL_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
+#include <cstdint>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace rhmd::support
@@ -51,18 +52,20 @@ namespace rhmd::support
 std::size_t resolveThreadCount(std::size_t requested = 0);
 
 /**
- * Fixed-size thread pool with a bounded task queue. submit() blocks
- * once the queue holds 4x the worker count, which keeps producers
- * from buffering an entire sweep's closures. A pool constructed with
- * one thread executes tasks inline on the submitting thread.
+ * Fixed team of workers that runs one index loop at a time. A pool
+ * constructed with one thread runs every loop inline on the calling
+ * thread.
  */
 class ThreadPool
 {
   public:
-    /** @param threads worker count; 0 resolves via resolveThreadCount. */
+    /**
+     * @param threads worker count; 0 resolves via resolveThreadCount.
+     * Returns once every worker has started and parked.
+     */
     explicit ThreadPool(std::size_t threads = 0);
 
-    /** Drains the queue, then joins the workers. */
+    /** Joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -71,42 +74,56 @@ class ThreadPool
     /** Worker count (1 means serial inline execution). */
     std::size_t threads() const { return threads_; }
 
-    /** True when tasks run inline on the submitting thread. */
+    /** True when loops run inline on the calling thread. */
     bool serial() const { return threads_ <= 1; }
 
     /**
-     * Enqueue a task; blocks while the queue is at capacity. In
-     * serial mode the task runs before submit() returns.
+     * Run body(i) once for every i in [0, n), the workers claiming
+     * indices from a shared counter, and return once every worker
+     * has parked again: no worker is then inside the allocator, so
+     * the caller may fork. @p body must not throw; panics abort
+     * loudly from whichever worker hit them. Runs inline in index
+     * order on a serial pool, for n == 1, and when called from
+     * inside a loop body. Loops started from different threads run
+     * one after another.
      */
-    void submit(std::function<void()> task);
-
-    /**
-     * Block until every worker has started and every submitted task
-     * has finished and been destroyed. No worker is then inside the
-     * allocator, so the caller may fork.
-     */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    /** Every worker is parked in its loop; call with mutex_ held. */
-    bool idle() const
+    template <typename Body>
+    void forEach(std::size_t n, const Body &body)
     {
-        return started_ == threads_ && queue_.empty() && active_ == 0;
+        run(n, &body, [](const void *fn, std::size_t i) {
+            (*static_cast<const Body *>(fn))(i);
+        });
     }
 
+  private:
+    /** A loop body erased to a plain function pointer: no closure. */
+    using Invoke = void (*)(const void *body, std::size_t i);
+
+    void run(std::size_t n, const void *body, Invoke invoke);
+    void workerLoop();
+
     std::size_t threads_;
-    std::size_t capacity_;
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
+
+    /** Makes loops from different calling threads take turns. */
+    std::mutex loopMutex_;
+
+    /** Guards the loop state below; next_ is claimed without it. */
     std::mutex mutex_;
-    std::condition_variable taskReady_;
-    std::condition_variable spaceReady_;
-    std::condition_variable allIdle_;
-    std::size_t started_ = 0;
-    std::size_t active_ = 0;
+    std::condition_variable wake_;
+    std::condition_variable parked_;
+    /** Number of the current loop; a worker runs each one once. */
+    std::uint64_t loop_ = 0;
+    /** Workers still inside the current loop (or their start-up). */
+    std::size_t running_ = 0;
     bool stopping_ = false;
+    std::size_t n_ = 0;
+    const void *body_ = nullptr;
+    Invoke invoke_ = nullptr;
+
+    /** Next unclaimed index of the current loop. */
+    std::atomic<std::size_t> next_{0};
+
+    std::vector<std::thread> workers_;
 };
 
 /**
@@ -127,19 +144,6 @@ void setGlobalThreads(std::size_t threads);
 /** Worker count of the global pool without forcing its creation. */
 std::size_t globalThreads();
 
-namespace detail
-{
-
-/**
- * Run body(i) for i in [0, n) on the pool, claiming indices from a
- * shared counter. @p body must not throw; panics abort loudly from
- * whichever worker hit them. Blocks until all n indices completed.
- */
-void parallelForIndex(ThreadPool &pool, std::size_t n,
-                      const std::function<void(std::size_t)> &body);
-
-} // namespace detail
-
 /**
  * Ordered-reduction map: out[i] = body(i), with the output vector
  * indexed by task index so the merge order never depends on the
@@ -151,8 +155,7 @@ std::vector<T>
 parallelMap(ThreadPool &pool, std::size_t n, Body &&body)
 {
     std::vector<T> out(n);
-    detail::parallelForIndex(
-        pool, n, [&](std::size_t i) { out[i] = body(i); });
+    pool.forEach(n, [&](std::size_t i) { out[i] = body(i); });
     return out;
 }
 

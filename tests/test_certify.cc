@@ -16,6 +16,7 @@
 #include "core/experiment.hh"
 #include "ml/decision_tree.hh"
 #include "ml/logistic_regression.hh"
+#include "ml/random_forest.hh"
 #include "ml/svm.hh"
 #include "serve/pool_manager.hh"
 #include "support/metrics.hh"
@@ -354,6 +355,50 @@ TEST(Audit, FlagsUntrainedTree)
     analysis::Report report;
     EXPECT_FALSE(auditModel(tree, std_ok, 1, 0, report));
     EXPECT_EQ(report.findings().front().code, "degenerate-tree");
+}
+
+TEST(Audit, FlagsTreeSplitsPastTheFeatureDim)
+{
+    // Both trained models split on full-width feature 5 (the forest's
+    // trees after their split remap); audited against a 5-feature
+    // extractor, every such split reads past the end of the row.
+    ml::Dataset data;
+    Rng data_rng(5);
+    for (int i = 0; i < 200; ++i) {
+        std::vector<double> x(6);
+        for (double &v : x)
+            v = data_rng.uniform(-1.0, 1.0);
+        data.add(x, x[5] > 0.0 ? 1 : 0);
+    }
+    ml::DecisionTree tree;
+    ml::ForestConfig forest_config;
+    forest_config.trees = 5;
+    ml::RandomForest forest(forest_config);
+    Rng rng(3);
+    tree.train(data, rng);
+    forest.train(data, rng);
+
+    const auto standardizer = [](std::size_t d) {
+        ml::Standardizer s;
+        s.mean.assign(d, 0.0);
+        s.scale.assign(d, 1.0);
+        return s;
+    };
+    for (const ml::Classifier *clf :
+         {static_cast<const ml::Classifier *>(&tree),
+          static_cast<const ml::Classifier *>(&forest)}) {
+        analysis::Report full;
+        EXPECT_TRUE(auditModel(*clf, standardizer(6), 6, 0, full))
+            << clf->name();
+        analysis::Report narrow;
+        EXPECT_FALSE(auditModel(*clf, standardizer(5), 5, 0, narrow))
+            << clf->name();
+        ASSERT_FALSE(narrow.clean());
+        for (const analysis::Finding &finding : narrow.findings()) {
+            EXPECT_EQ(finding.code, "standardizer-dim-mismatch");
+            EXPECT_EQ(finding.message, "split feature 5 vs feature dim 5");
+        }
+    }
 }
 
 TEST(Audit, CleanModelPasses)

@@ -246,21 +246,19 @@ TEST(Families, RaggedBatchesScoreAsRowsAlone)
 }
 
 /**
- * The leaf @p row reaches by walking @p nodes from the root, reading
- * tree input j as row[sel[j]] (row[j] when @p sel is null): `x <= t`
+ * The leaf @p row reaches by walking @p nodes from the root: `x <= t`
  * goes left, so NaN goes right.
  */
 double
 walkNodes(const std::vector<ml::DecisionTree::Node> &nodes,
-          const std::vector<std::size_t> *sel, const double *row)
+          const double *row)
 {
     std::size_t n = 0;
     while (!nodes[n].leaf) {
         const ml::DecisionTree::Node &node = nodes[n];
-        const double x =
-            row[sel == nullptr ? node.feature : (*sel)[node.feature]];
-        n = static_cast<std::size_t>(x <= node.threshold ? node.left
-                                                         : node.right);
+        n = static_cast<std::size_t>(row[node.feature] <= node.threshold
+                                         ? node.left
+                                         : node.right);
     }
     return nodes[n].value;
 }
@@ -270,19 +268,15 @@ double
 walkForest(const ml::RandomForest &forest, const double *row)
 {
     double total = 0.0;
-    for (std::size_t t = 0; t < forest.treeCount(); ++t) {
-        total += walkNodes(forest.trees()[t].nodes(),
-                           &forest.featureSelections()[t], row);
-    }
+    for (const ml::DecisionTree &tree : forest.trees())
+        total += walkNodes(tree.nodes(), row);
     return total / static_cast<double>(forest.treeCount());
 }
 
 TEST(Families, TreeScoresMatchNodeWalks)
 {
-    // The flattened layouts (and, for forests, the split remap
-    // through each tree's feature selection) against walks over the
-    // grown nodes, on 1200 rows where about one entry in twelve is
-    // NaN, +Inf or -Inf.
+    // Batch scoring against walks over the grown nodes, on 1200 rows
+    // where about one entry in twelve is NaN, +Inf or -Inf.
     const std::size_t d = 9;
     Rng data_rng(34);
     ml::Dataset data;
@@ -312,7 +306,17 @@ TEST(Families, TreeScoresMatchNodeWalks)
     for (ml::RandomForest &forest : forests) {
         Rng forest_rng(12);
         forest.train(data, forest_rng);
-        ASSERT_LT(forest.featureSelections().front().size(), d);
+        // Each tree grew on 6 of the 9 features; its splits were
+        // rewritten to full-width indices, so some read past 5.
+        std::size_t widest = 0;
+        for (const ml::DecisionTree &t : forest.trees()) {
+            for (const ml::DecisionTree::Node &node : t.nodes()) {
+                if (!node.leaf)
+                    widest = std::max(widest, node.feature);
+            }
+        }
+        ASSERT_GE(widest, 6u);
+        ASSERT_LT(widest, d);
     }
 
     const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
@@ -331,7 +335,7 @@ TEST(Families, TreeScoresMatchNodeWalks)
     std::vector<std::vector<double>> forest_ref(
         forests.size(), std::vector<double>(x.rows()));
     for (std::size_t r = 0; r < x.rows(); ++r) {
-        tree_ref[r] = walkNodes(tree.nodes(), nullptr, x.row(r));
+        tree_ref[r] = walkNodes(tree.nodes(), x.row(r));
         for (std::size_t f = 0; f < forests.size(); ++f)
             forest_ref[f][r] = walkForest(forests[f], x.row(r));
     }

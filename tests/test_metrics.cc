@@ -142,7 +142,7 @@ TEST(MergeDeterminism, CounterAndHistogramAcrossThreadCounts)
         Histogram &picks =
             reg.histogram("demo.pick", "pick index", {0.0, 1.0, 2.0});
         ThreadPool pool(threads);
-        detail::parallelForIndex(pool, kTasks, [&](std::size_t i) {
+        pool.forEach(kTasks, [&](std::size_t i) {
             events.add(i % 3);
             picks.observe(static_cast<double>(i % 4));
         });
@@ -242,13 +242,13 @@ TEST(Spans, WorkerThreadsRootTheirOwnStacks)
 {
     TraceRegistry::instance().reset();
     ThreadPool pool(4);
-    detail::parallelForIndex(pool, 16, [](std::size_t) {
+    pool.forEach(16, [](std::size_t) {
         ScopedSpan span("task");
     });
     const auto spans = TraceRegistry::instance().snapshot();
     // Worker stacks are thread-local, so the span roots at "task"
     // (never under some other thread's open span) and all 16
-    // closures aggregate into the one path.
+    // bodies aggregate into the one path.
     ASSERT_EQ(spans.size(), 1u);
     EXPECT_EQ(spans.at("task").count, 16u);
     TraceRegistry::instance().reset();

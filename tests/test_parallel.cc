@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -34,10 +33,14 @@ TEST(ThreadPool, SerialFallbackRunsInline)
     ThreadPool pool(1);
     EXPECT_TRUE(pool.serial());
     EXPECT_EQ(pool.threads(), 1u);
-    std::thread::id ran_on;
-    pool.submit([&] { ran_on = std::this_thread::get_id(); });
-    pool.wait();
-    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    std::vector<std::thread::id> ran_on;
+    pool.forEach(3, [&](std::size_t i) {
+        EXPECT_EQ(i, ran_on.size());
+        ran_on.push_back(std::this_thread::get_id());
+    });
+    ASSERT_EQ(ran_on.size(), 3u);
+    for (const std::thread::id &id : ran_on)
+        EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ResolveRespectsEnvironment)
@@ -65,33 +68,43 @@ TEST(ThreadPool, ForkedChildExitsWithoutJoiningPhantomWorkers)
     support::setGlobalThreads(1);
 }
 
-TEST(ThreadPool, WaitReturnsAfterTaskClosuresAreDestroyed)
-{
-    // The task holds the last reference to a token whose deleter is
-    // slow; wait() must not return before the worker has destroyed
-    // the task and with it the token.
-    std::atomic<bool> released{false};
-    ThreadPool pool(2);
-    {
-        std::shared_ptr<int> token(new int(0), [&released](int *p) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            delete p;
-            released = true;
-        });
-        pool.submit([token] { EXPECT_EQ(*token, 0); });
-    }
-    pool.wait();
-    EXPECT_TRUE(released.load());
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce)
+TEST(ThreadPool, RunsEveryIndexExactlyOnceOverRepeatedLoops)
 {
     ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
+    for (int loop = 0; loop < 50; ++loop) {
+        const std::size_t n = 1 + static_cast<std::size_t>(loop) * 7;
+        std::vector<std::atomic<int>> hits(n);
+        pool.forEach(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(hits[i].load(), 1) << "loop " << loop << " index " << i;
+    }
+}
+
+TEST(ThreadPool, ConcurrentCallersEachGetIndexOrderedResults)
+{
+    // Loops from two threads on one pool take turns; each caller
+    // must still see its own loop's results in index order.
+    ThreadPool pool(4);
+    std::atomic<int> mismatches{0};
+    const auto caller = [&](std::size_t salt) {
+        for (std::size_t loop = 0; loop < 50; ++loop) {
+            const std::size_t n = 10 + (loop * 13 + salt) % 90;
+            const std::vector<std::size_t> out =
+                support::parallelMap<std::size_t>(
+                    pool, n, [&](std::size_t i) { return i * salt + loop; });
+            if (out.size() != n)
+                mismatches.fetch_add(1);
+            for (std::size_t i = 0; i < out.size(); ++i) {
+                if (out[i] != i * salt + loop)
+                    mismatches.fetch_add(1);
+            }
+        }
+    };
+    std::thread a(caller, 3);
+    std::thread b(caller, 5);
+    a.join();
+    b.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 /**

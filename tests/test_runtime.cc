@@ -118,15 +118,27 @@ TEST(HealthMonitor, ProbationAndRecovery)
     monitor.recordSuccess(0);
     EXPECT_EQ(monitor.health(0), DetectorHealth::Healthy);
 
-    // The structured log recorded the whole lifecycle in order.
+    // The structured log recorded every transition in order.
     std::vector<HealthEvent::Kind> kinds;
     for (const auto &event : monitor.events())
         kinds.push_back(event.kind);
     const std::vector<HealthEvent::Kind> expected{
-        HealthEvent::Kind::Failure, HealthEvent::Kind::Failure,
         HealthEvent::Kind::Quarantine, HealthEvent::Kind::Probation,
         HealthEvent::Kind::Recovery};
     EXPECT_EQ(kinds, expected);
+}
+
+TEST(HealthMonitor, FailuresThatChangeNoStateAreCountedNotLogged)
+{
+    HealthConfig config;
+    config.failureThreshold = std::size_t{1} << 20;
+    HealthMonitor monitor(1, config);
+    monitor.tick();
+    for (int i = 0; i < 1000; ++i)
+        monitor.recordFailure(0, "nan");
+    EXPECT_EQ(monitor.health(0), DetectorHealth::Healthy);
+    EXPECT_EQ(monitor.failureCount(0), 1000u);
+    EXPECT_TRUE(monitor.events().empty());
 }
 
 TEST(HealthMonitor, FailureDuringProbationRequarantines)
@@ -142,6 +154,10 @@ TEST(HealthMonitor, FailureDuringProbationRequarantines)
     ASSERT_EQ(monitor.health(0), DetectorHealth::Probation);
     monitor.recordFailure(0, "nan");
     EXPECT_EQ(monitor.health(0), DetectorHealth::Quarantined);
+    ASSERT_EQ(monitor.events().size(), 3u);
+    EXPECT_EQ(monitor.events().back().kind, HealthEvent::Kind::Quarantine);
+    EXPECT_EQ(monitor.events().back().detail,
+              "failed during probation: nan");
 }
 
 TEST(HealthMonitor, EffectivePolicyRenormalizesOverSurvivors)

@@ -659,7 +659,9 @@ TEST(ServeAdmission, BreakerOpensOnShedBurstThenShedsAtSubmit)
     sc.deadlineSeconds = 1e-12;
     sc.breaker.enabled = true;
     sc.breaker.failureThreshold = 2;
-    sc.breaker.cooldown.initialBackoff = 1e9; // stays open for the test
+    // backoffDelay caps every cool-down at kMaxBackoff (64 s): the
+    // test ends inside that first cool-down, so the breaker stays open.
+    sc.breaker.cooldown.initialBackoff = support::kMaxBackoff;
     DetectionService service(threeDetectorPool(), sc);
 
     // The first two deadline sheds trip the threshold; any later
