@@ -6,6 +6,7 @@
 #include "serve/service.hh"
 
 #include <cmath>
+#include <condition_variable>
 
 #include "core/rhmd.hh"
 #include "support/logging.hh"
@@ -117,7 +118,13 @@ struct ServeCounters
         "serve.score_seconds", "per-batch scoring and failover");
     support::Histogram &fulfillSeconds = phaseHistogram(
         "serve.fulfill_seconds",
-        "per-batch reports, shadow scoring and promise resolution");
+        "per-batch reports, shadow scoring and answers");
+    // The one per-request latency: enqueue to the batch's answers,
+    // for every request a scored batch answers.
+    support::Histogram &latencySeconds = phaseHistogram(
+        "serve.latency_seconds",
+        "per-request time from enqueue to the answers of its scored "
+        "batch");
 };
 
 ServeCounters &
@@ -128,6 +135,73 @@ serveCounters()
 }
 
 } // namespace
+
+struct Reply::Slot
+{
+    std::mutex mutex;
+    std::condition_variable settled;
+    bool done = false;
+    /** The answer; nullopt with done set means abandoned. */
+    std::optional<support::StatusOr<ServeReport>> value;
+};
+
+Reply::Reply() : slot_(std::make_shared<Slot>()) {}
+
+Reply::~Reply()
+{
+    if (slot_ != nullptr)
+        settle(std::nullopt);
+}
+
+Reply &
+Reply::operator=(Reply &&other) noexcept
+{
+    if (this != &other) {
+        if (slot_ != nullptr)
+            settle(std::nullopt);
+        slot_ = std::move(other.slot_);
+        futureTaken_ = other.futureTaken_;
+    }
+    return *this;
+}
+
+std::future<support::StatusOr<ServeReport>>
+Reply::future()
+{
+    panic_if(slot_ == nullptr, "Reply::future on an answered reply");
+    panic_if(futureTaken_, "Reply::future called twice");
+    futureTaken_ = true;
+    return std::async(
+        std::launch::deferred,
+        [slot = slot_]() -> support::StatusOr<ServeReport> {
+            std::unique_lock<std::mutex> lock(slot->mutex);
+            slot->settled.wait(lock, [&slot] { return slot->done; });
+            if (!slot->value)
+                throw std::future_error(std::future_errc::broken_promise);
+            return std::move(*slot->value);
+        });
+}
+
+void
+Reply::answer(support::StatusOr<ServeReport> value)
+{
+    panic_if(slot_ == nullptr, "Reply answered twice");
+    settle(std::move(value));
+}
+
+void
+Reply::settle(std::optional<support::StatusOr<ServeReport>> value)
+{
+    {
+        const std::lock_guard<std::mutex> lock(slot_->mutex);
+        slot_->value = std::move(value);
+        slot_->done = true;
+    }
+    // Still holding the block: a waiter that wakes early and drops
+    // its future cannot free the condition variable under us.
+    slot_->settled.notify_one();
+    slot_.reset();
+}
 
 DetectionService::DetectionService(std::shared_ptr<const core::Rhmd> pool,
                                    ServeConfig config)
@@ -165,12 +239,6 @@ DetectionService::~DetectionService()
     stop();
 }
 
-double
-DetectionService::nowSeconds() const
-{
-    return secondsBetween(started_, std::chrono::steady_clock::now());
-}
-
 std::future<support::StatusOr<ServeReport>>
 DetectionService::submit(const features::ProgramFeatures &prog,
                          std::uint64_t request_key, std::uint64_t tenant)
@@ -178,26 +246,28 @@ DetectionService::submit(const features::ProgramFeatures &prog,
     ServeCounters &counters = serveCounters();
     counters.requests.add(1);
 
+    // One clock read serves the enqueue stamp, the breaker and quota
+    // clocks, and the deadline eviction below.
+    const auto now = std::chrono::steady_clock::now();
+    const double now_s = secondsBetween(started_, now);
     Request req;
     req.prog = &prog;
     req.key = request_key;
     req.tenant = tenant;
-    req.enqueued = std::chrono::steady_clock::now();
-    std::future<support::StatusOr<ServeReport>> future =
-        req.promise.get_future();
+    req.enqueued = now;
+    std::future<support::StatusOr<ServeReport>> future = req.reply.future();
 
     // Admission layers, cheapest first: a stopped service and an open
     // breaker shed before any quota or queue work is spent.
     if (stopped_.load(std::memory_order_acquire)) {
         counters.shedStopped.add(1);
-        req.promise.set_value(support::unavailableError(
+        req.reply.answer(support::unavailableError(
             "detection service stopped; request shed"));
         return future;
     }
-    const double now_s = nowSeconds();
     if (!breaker_.allow(now_s)) {
         counters.shedCircuitOpen.add(1);
-        req.promise.set_value(support::unavailableError(
+        req.reply.answer(support::unavailableError(
             "detection service circuit breaker ",
             breakerStateName(breaker_.state()),
             "; retry after the cool-down"));
@@ -208,7 +278,7 @@ DetectionService::submit(const features::ProgramFeatures &prog,
             admission_.admit(tenant, now_s, queue_.size());
         if (!admitted.isOk()) {
             counters.shedQuota.add(1);
-            req.promise.set_value(std::move(admitted));
+            req.reply.answer(std::move(admitted));
             return future;
         }
     }
@@ -221,7 +291,6 @@ DetectionService::submit(const features::ProgramFeatures &prog,
     bool pushed = false;
     std::vector<Request> evicted;
     if (config_.deadlineSeconds > 0.0) {
-        const auto now = std::chrono::steady_clock::now();
         pushed = queue_.tryPushEvicting(
             std::move(req),
             [&](const Request &queued) {
@@ -234,7 +303,7 @@ DetectionService::submit(const features::ProgramFeatures &prog,
                 admission_.release(dead.tenant);
             counters.shedDeadlineSubmit.add(1);
             breaker_.recordFailure(now_s);
-            dead.promise.set_value(support::unavailableError(
+            dead.reply.answer(support::unavailableError(
                 "request shed: queue wait exceeded the ",
                 config_.deadlineSeconds, "s deadline"));
         }
@@ -243,8 +312,8 @@ DetectionService::submit(const features::ProgramFeatures &prog,
     }
     if (!pushed) {
         // A failed push never moves from its argument, so the
-        // promise is still ours to fulfill — and the admission charge
-        // is ours to return.
+        // reply is still ours to answer — and the admission charge is
+        // ours to return.
         if (config_.admission.enabled)
             admission_.release(tenant);
         if (queue_.closed()) {
@@ -252,13 +321,13 @@ DetectionService::submit(const features::ProgramFeatures &prog,
             // shutdown shedding, not overload, and dashboards must be
             // able to tell them apart.
             counters.shedStopped.add(1);
-            req.promise.set_value(support::unavailableError(
+            req.reply.answer(support::unavailableError(
                 "detection service stopped; request shed"));
             return future;
         }
         counters.shedQueueFull.add(1);
         breaker_.recordFailure(now_s);
-        req.promise.set_value(support::unavailableError(
+        req.reply.answer(support::unavailableError(
             "detection service overloaded (queue of ",
             queue_.capacity(), " full); retry later"));
         return future;
@@ -359,8 +428,8 @@ DetectionService::shedExpired(std::vector<Request> &batch)
     if (config_.deadlineSeconds <= 0.0)
         return;
     ServeCounters &counters = serveCounters();
-    const double now_s = nowSeconds();
     const auto now = std::chrono::steady_clock::now();
+    const double now_s = secondsBetween(started_, now);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         Request &req = batch[i];
@@ -370,7 +439,7 @@ DetectionService::shedExpired(std::vector<Request> &batch)
                 admission_.release(req.tenant);
             counters.shedDeadline.add(1);
             breaker_.recordFailure(now_s);
-            req.promise.set_value(support::unavailableError(
+            req.reply.answer(support::unavailableError(
                 "request shed after queueing ", waited, "s (deadline ",
                 config_.deadlineSeconds, "s)"));
             continue;
@@ -414,7 +483,7 @@ DetectionService::processBatch(std::vector<Request> &batch,
         support::Status shape = core::checkEpochWindows(
             *req.prog, pool.detectors(), pool.decisionPeriod());
         if (!shape.isOk()) {
-            req.promise.set_value(std::move(shape));
+            req.reply.answer(std::move(shape));
             continue;
         }
         live.push_back(&req);
@@ -450,12 +519,12 @@ DetectionService::processBatch(std::vector<Request> &batch,
                 report.epochs =
                     req->prog->windows(pool.decisionPeriod()).size();
                 report.programDecision = 0;
-                req->promise.set_value(std::move(report));
+                req->reply.answer(std::move(report));
                 continue;
             }
             counters.failClosed.add(1);
             breaker_.recordFailure(now_s);
-            req->promise.set_value(effective.status());
+            req->reply.answer(effective.status());
         }
         return;
     }
@@ -570,8 +639,8 @@ DetectionService::processBatch(std::vector<Request> &batch,
     // pool version the batch was planned against. When a shadow
     // candidate is installed, each classified request is scored
     // against it too (the submitted program is only guaranteed alive
-    // until its promise resolves). Only once every answer is built
-    // are the promises resolved, back to back in request order, so a
+    // until the request is answered). Only once every answer is built
+    // are the replies answered, back to back in request order, so a
     // client waiting on the batch is woken once rather than between
     // reports.
     std::shared_ptr<const core::Rhmd> shadow;
@@ -612,8 +681,12 @@ DetectionService::processBatch(std::vector<Request> &batch,
                         report.programDecision, *shadow);
         answers.emplace_back(std::move(report));
     }
+    const auto answering = std::chrono::steady_clock::now();
+    for (const Request *req : live)
+        counters.latencySeconds.observe(
+            secondsBetween(req->enqueued, answering));
     for (std::size_t r = 0; r < live.size(); ++r)
-        live[r]->promise.set_value(std::move(answers[r]));
+        live[r]->reply.answer(std::move(answers[r]));
     counters.fulfillSeconds.observe(
         secondsBetween(scored, std::chrono::steady_clock::now()));
 }

@@ -43,7 +43,7 @@
  * candidate pool is installed with installShadow(), every live
  * request that produced a classification is additionally scored
  * against the candidate — same per-key switching stream, no health
- * coupling, never touching the caller's promise — and the running
+ * coupling, never touching the caller's reply — and the running
  * live-vs-candidate agreement is readable through shadowStats(). The
  * pipeline promotes through swapPool() only after the shadow lane
  * has seen enough live traffic.
@@ -68,6 +68,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -171,6 +172,54 @@ struct ServeReport
 };
 
 /**
+ * One request's one-shot answer slot: a block shared with the
+ * request's future that holds a mutex, a condition variable and the
+ * answer (or an "abandoned" mark). answer() stores under the lock and notifies,
+ * which makes a syscall only when the client is asleep on the slot.
+ *
+ * The future is deferred (std::async(std::launch::deferred, ...))
+ * and its function waits on the slot. libstdc++ makes every future
+ * state ready through std::call_once, i.e. pthread_once, whose first
+ * call always ends in a FUTEX_WAKE syscall; only a deferred state
+ * runs it on the consumer, in get(), so the answering worker pays
+ * neither that wake nor one for a client that is not waiting
+ * (DESIGN.md section 11). Hence the future's contract: get() and
+ * wait() block until the slot is answered, while wait_for() and
+ * wait_until() return std::future_status::deferred at once.
+ *
+ * A Reply destroyed unanswered (and not moved from) abandons the
+ * slot: the future's get() throws std::future_error with
+ * std::future_errc::broken_promise, as for a destroyed promise.
+ */
+class Reply
+{
+  public:
+    Reply();
+    ~Reply();
+    Reply(Reply &&other) noexcept = default;
+    /** Abandons this reply's own slot if it is unanswered. */
+    Reply &operator=(Reply &&other) noexcept;
+    Reply(const Reply &) = delete;
+    Reply &operator=(const Reply &) = delete;
+
+    /** The slot's future; call it once, before answer(). */
+    std::future<support::StatusOr<ServeReport>> future();
+
+    /** Fill the slot and wake its waiter; call it once. */
+    void answer(support::StatusOr<ServeReport> value);
+
+  private:
+    struct Slot;
+
+    /** Store @p value (nullopt: abandoned), notify, drop the slot. */
+    void settle(std::optional<support::StatusOr<ServeReport>> value);
+
+    /** Null once answered or moved from. */
+    std::shared_ptr<Slot> slot_;
+    bool futureTaken_ = false;
+};
+
+/**
  * What the shadow lane observed so far for the installed candidate:
  * live requests replayed against it and how often the candidate's
  * program decision agreed with the serving pool's. The counts are
@@ -199,11 +248,11 @@ struct ShadowStats
  * producer threads and answers them through a versioned detector
  * pool.
  *
- * Submitted programs must outlive their futures. A program without
- * windows for every base period of the pool version that plans it is
- * answered InvalidArgument, and one the shadow candidate cannot plan
- * is not shadow-scored. Health state accumulates per pool version;
- * epochs advance per drained batch.
+ * Submitted programs must stay alive until their futures' get() or
+ * wait() returns. A program without windows for every base period of
+ * the pool version that plans it is answered InvalidArgument, and one
+ * the shadow candidate cannot plan is not shadow-scored. Health state
+ * accumulates per pool version; epochs advance per drained batch.
  */
 class DetectionService
 {
@@ -235,17 +284,22 @@ class DetectionService
     DetectionService &operator=(const DetectionService &) = delete;
 
     /**
-     * Submit one program for classification. Returns a future that
-     * resolves to the request's report, or to Unavailable when the
+     * Submit one program for classification. Returns a future whose
+     * get() yields the request's report, or Unavailable when the
      * request was shed (stopped / breaker open / quota / queue full /
      * deadline) or the whole pool is quarantined under fail-closed.
      * A program the batch's pool version cannot plan — no windows at
      * one of its detector periods, or a stream that ends before the
-     * last epoch (core::checkEpochWindows) — resolves to
+     * last epoch (core::checkEpochWindows) — is answered
      * InvalidArgument and does not count toward the circuit breaker.
      *
+     * The future is a deferred one over the request's Reply: get()
+     * and wait() block until the service answers; wait_for() and
+     * wait_until() return std::future_status::deferred at once and
+     * cannot poll it.
+     *
      * @param prog        feature windows; must stay alive until the
-     *                    future resolves.
+     *                    future's get() or wait() returns.
      * @param request_key caller-chosen identity of this request; the
      *                    switching stream is derived from it, so
      *                    resubmitting a key replays the same
@@ -274,8 +328,8 @@ class DetectionService
      * Install @p candidate as the shadow pool: from the next drained
      * batch on, every live request that produced a classification is
      * also scored against it. Shadow scoring runs before the
-     * request's promise is fulfilled (the submitted program is only
-     * guaranteed alive until then), adding one pool's scoring cost
+     * request is answered (the submitted program is only guaranteed
+     * alive until then), adding one pool's scoring cost
      * per request while a candidate is under evaluation. Replaces any
      * previous shadow and resets the stats. Rejects structurally
      * invalid candidates; shadow scoring requires submitted programs
@@ -346,7 +400,7 @@ class DetectionService
         std::uint64_t key = 0;
         std::uint64_t tenant = 0;
         std::chrono::steady_clock::time_point enqueued;
-        std::promise<support::StatusOr<ServeReport>> promise;
+        Reply reply;
     };
 
     /**
@@ -370,7 +424,7 @@ class DetectionService
          *  classified epochs (behind ServeReport::meanMargin). */
         std::vector<double> marginSum;
         std::vector<core::EpochPlan::Slot> failed;
-        /** Each live request's answer, resolved once all are built. */
+        /** Each live request's answer, sent once all are built. */
         std::vector<support::StatusOr<ServeReport>> answers;
         /** Rebound to the batch's pool version by reset(). */
         core::EpochPlan plan;
@@ -399,8 +453,6 @@ class DetectionService
     void shadowScore(const features::ProgramFeatures &prog,
                      std::uint64_t key, int live_decision,
                      const core::Rhmd &candidate);
-
-    double nowSeconds() const;
 
     ServeConfig config_;
     SplitRng switchRng_;

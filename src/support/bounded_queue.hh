@@ -28,7 +28,7 @@ namespace rhmd::support
 
 /**
  * Mutex-and-condvar bounded FIFO. All members are thread-safe; the
- * queue never copies elements (move in, move out), so promise-bearing
+ * queue never copies elements (move in, move out), so reply-bearing
  * request types work naturally.
  */
 template <typename T>

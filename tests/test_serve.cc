@@ -1,16 +1,19 @@
 /**
  * @file
  * Tests of the batched detection service: the bounded request queue,
- * request-keyed determinism, load shedding, and the batch scoring
- * APIs the service rides on (Classifier::scoreBatch,
- * Hmd::scoreWindows, Rhmd::decideBatch).
+ * the reply slot behind every future, request-keyed determinism, load
+ * shedding, and the batch scoring APIs the service rides on
+ * (Classifier::scoreBatch, Hmd::scoreWindows, Rhmd::decideBatch).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -144,14 +147,92 @@ TEST(BoundedQueue, ConsumerBlocksUntilWorkArrives)
 TEST(BoundedQueue, MovesElementsWithoutCopying)
 {
     // Move-only elements compile and round-trip: the queue never
-    // copies, which is what lets promise-bearing requests flow
-    // through it.
+    // copies, which is what lets reply-bearing requests flow through
+    // it.
     support::BoundedQueue<std::unique_ptr<int>> queue(2);
     ASSERT_TRUE(queue.tryPush(std::make_unique<int>(5)));
     std::vector<std::unique_ptr<int>> out;
     ASSERT_EQ(queue.popBatch(out, 2), 1u);
     ASSERT_NE(out[0], nullptr);
     EXPECT_EQ(*out[0], 5);
+}
+
+// --- Reply ---------------------------------------------------------
+
+ServeReport
+reportOf(int decision)
+{
+    ServeReport report;
+    report.decisions = {decision};
+    report.programDecision = decision;
+    return report;
+}
+
+TEST(Reply, AnswerFromAnotherThreadWakesABlockedGet)
+{
+    Reply reply;
+    auto future = reply.future();
+    std::thread worker([&reply] {
+        // Long enough that get() below is asleep on the slot.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        reply.answer(reportOf(1));
+    });
+    const auto report = future.get();
+    worker.join();
+    ASSERT_TRUE(report.isOk());
+    EXPECT_EQ(report->decisions, std::vector<int>{1});
+}
+
+TEST(Reply, DestroyedUnansweredBreaksThePromise)
+{
+    std::future<support::StatusOr<ServeReport>> abandoned;
+    {
+        Reply reply;
+        abandoned = reply.future();
+    }
+    try {
+        abandoned.get();
+        ADD_FAILURE() << "get() returned for an abandoned reply";
+    } catch (const std::future_error &error) {
+        EXPECT_EQ(error.code(), std::future_errc::broken_promise);
+    }
+
+    // A moved-from reply abandons nothing: the slot went with it.
+    Reply source;
+    auto future = source.future();
+    {
+        Reply moved = std::move(source);
+        moved.answer(reportOf(0));
+    }
+    EXPECT_TRUE(future.get().isOk());
+}
+
+TEST(Reply, AnswerAfterTheFutureIsDroppedIsSafe)
+{
+    // The answer lands in a block only the reply still holds and is
+    // freed with it (ASan reports a leak or a use after free here).
+    Reply reply;
+    {
+        auto dropped = reply.future();
+    }
+    reply.answer(reportOf(1));
+}
+
+TEST(Reply, FutureIsDeferredSoWaitForDoesNotPoll)
+{
+    // The documented contract of submit(): only get() and wait() wait
+    // for the answer; wait_for() reports deferred, answered or not.
+    Reply reply;
+    auto future = reply.future();
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::deferred);
+    reply.answer(reportOf(1));
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::deferred);
+    future.wait();
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_TRUE(future.get().isOk());
 }
 
 // --- DetectionService ----------------------------------------------
@@ -314,6 +395,91 @@ TEST(Serve, StopIsIdempotentAndDrainsBacklog)
     // stop() drains admitted requests; none may be abandoned.
     for (auto &future : futures)
         EXPECT_TRUE(future.get().isOk());
+}
+
+TEST(Serve, ConcurrentClosedLoopsMatchSerialReplay)
+{
+    // Two clients each keep kWindow requests in flight. The first
+    // takes its own answers; the second hands its futures to a third
+    // thread, so get() also runs on a thread that never submitted.
+    constexpr std::size_t kWindow = 64;
+    constexpr std::size_t kPerClient = 4096;
+    using Future = std::future<support::StatusOr<ServeReport>>;
+    const auto &programs = sharedExperiment().corpus().programs;
+    const auto program = [&programs](std::size_t key)
+        -> const features::ProgramFeatures & {
+        return programs[key % programs.size()];
+    };
+    auto pool = threeDetectorPool();
+    ServeConfig sc;
+    sc.workers = 2;
+    DetectionService service(*pool, sc);
+
+    std::vector<std::vector<int>> got(2 * kPerClient);
+    const auto take = [&got](Future &future, std::size_t key) {
+        auto report = future.get();
+        if (!report.isOk()) {
+            ADD_FAILURE() << "key " << key << ": "
+                          << report.status().toString();
+            return;
+        }
+        got[key] = std::move(report->decisions);
+    };
+
+    std::thread own_answers([&] {
+        std::vector<Future> ring(kWindow);
+        for (std::size_t i = 0; i < kPerClient + kWindow; ++i) {
+            if (i >= kWindow)
+                take(ring[i % kWindow], i - kWindow);
+            if (i < kPerClient)
+                ring[i % kWindow] = service.submit(program(i), i);
+        }
+    });
+
+    // The hand-off: request n may be submitted once request
+    // n - kWindow has been taken, and taken once it was submitted.
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::size_t submitted = 0;
+    std::size_t taken = 0;
+    std::vector<Future> ring(kWindow);
+    std::thread handing_off([&] {
+        for (std::size_t n = 0; n < kPerClient; ++n) {
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                changed.wait(lock, [&] { return n - taken < kWindow; });
+            }
+            const std::size_t key = kPerClient + n;
+            Future future = service.submit(program(key), key);
+            const std::lock_guard<std::mutex> lock(mutex);
+            ring[n % kWindow] = std::move(future);
+            submitted = n + 1;
+            changed.notify_all();
+        }
+    });
+    std::thread consumer([&] {
+        for (std::size_t n = 0; n < kPerClient; ++n) {
+            Future future;
+            {
+                std::unique_lock<std::mutex> lock(mutex);
+                changed.wait(lock, [&] { return submitted > n; });
+                future = std::move(ring[n % kWindow]);
+            }
+            take(future, kPerClient + n);
+            const std::lock_guard<std::mutex> lock(mutex);
+            taken = n + 1;
+            changed.notify_all();
+        }
+    });
+    own_answers.join();
+    handing_off.join();
+    consumer.join();
+
+    std::size_t mismatched = 0;
+    for (std::size_t key = 0; key < got.size(); ++key)
+        mismatched += got[key] != replayDecisions(*pool, sc.seed,
+                                                  program(key), key);
+    EXPECT_EQ(mismatched, 0u);
 }
 
 // --- Batch scoring APIs --------------------------------------------

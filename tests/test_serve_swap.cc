@@ -1042,6 +1042,48 @@ TEST(ServeMetrics, BatchPhasesAreObservedOncePerBatch)
     }
 }
 
+TEST(ServeMetrics, LatencyIsObservedOncePerScoredRequest)
+{
+    const auto &programs = sharedExperiment().corpus().programs;
+    // The shape check answers a program without the pool's 5000
+    // period before any scoring: it takes no latency sample.
+    features::ProgramFeatures no_period = programs[0];
+    no_period.byPeriod.erase(5000);
+    {
+        // Registers the histogram, so its count reads before any
+        // request below.
+        DetectionService warm(threeDetectorPool(), ServeConfig{});
+        ASSERT_TRUE(warm.submit(programs[0], 0).get().isOk());
+    }
+    const std::string latency = "serve.latency_seconds";
+    const long before =
+        histogramCount(support::metrics().toJsonArray(), latency);
+
+    ServeConfig sc;
+    sc.workers = 2;
+    sc.maxBatch = 4;
+    sc.queueCapacity = 4096;
+    DetectionService service(threeDetectorPool(), sc);
+    std::vector<std::future<support::StatusOr<ServeReport>>> futures;
+    long scored = 0;
+    for (std::size_t key = 0; key < 3 * programs.size(); ++key) {
+        const bool malformed = key % 5 == 0;
+        futures.push_back(service.submit(
+            malformed ? no_period : programs[key % programs.size()], key));
+        scored += malformed ? 0 : 1;
+    }
+    for (std::size_t key = 0; key < futures.size(); ++key)
+        EXPECT_EQ(futures[key].get().isOk(), key % 5 != 0) << key;
+    service.stop(); // every worker has observed its last batch
+
+    EXPECT_EQ(histogramCount(support::metrics().toJsonArray(), latency) -
+                  before,
+              scored);
+    // Timing: the determinism gate's view leaves it out.
+    EXPECT_EQ(support::metrics().toJsonArray(false).find(latency),
+              std::string::npos);
+}
+
 TEST(ServeMetrics, HealthSnapshotIsSafeUnderLiveTraffic)
 {
     const auto &programs = sharedExperiment().corpus().programs;
